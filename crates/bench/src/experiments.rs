@@ -1085,12 +1085,13 @@ pub fn campaign(strikes: u64, p_double: f64) -> FigureData {
             for i in 0..l2.total_lines() {
                 let line = LineAddr(i);
                 let dirty = i < sets; // one dirty line per set
-                let data = if dirty {
-                    (0..8).map(|w| mix64(i * 8 + w)).collect()
+                let mut data = [0u64; 8];
+                if dirty {
+                    data = std::array::from_fn(|w| mix64(i * 8 + w as u64));
                 } else {
-                    mem.read_line(line)
-                };
-                l2.install(line, dirty, 0, Some(data));
+                    mem.read_line(line, &mut data);
+                }
+                l2.install(line, dirty, 0, Some(&data));
                 let mut dirs = Vec::new();
                 for ev in l2.take_events() {
                     scheme.on_event(&ev, &l2, &mut dirs);

@@ -22,18 +22,77 @@
 //! correction); clean lines that fail parity are refetched from memory.
 
 use aep_ecc::parity::InterleavedParity;
-use aep_ecc::{Decoded, Secded64};
 use aep_mem::cache::{Cache, L2Event};
 use aep_mem::{CacheConfig, MainMemory};
 
 use crate::area::{AreaModel, AreaReport};
-use crate::scheme::{Directive, EnergyCounters, ProtectionScheme, RecoveryOutcome};
+use crate::scheme::{
+    decode_payload, decode_resident, encode_line, refetch, Directive, EnergyCounters,
+    ProtectionScheme, RecoveryOutcome,
+};
 
-/// One shared ECC-array entry: which way owns it and the line's checks.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct EccEntry {
-    way: usize,
-    checks: Box<[u8]>,
+/// Check bytes displaced from the shared ECC array whose forced clean-back
+/// (ECC-WB) has not completed yet, keyed by `(set, way)` in displacement
+/// order. The bytes sit in one flat arena, `words` per entry; at most a
+/// few are in flight at once, so lookups scan.
+#[derive(Debug, Clone)]
+pub(crate) struct RetiringChecks {
+    words: usize,
+    keys: Vec<(usize, usize)>,
+    checks: Vec<u8>,
+}
+
+impl RetiringChecks {
+    pub(crate) fn new(words: usize) -> Self {
+        RetiringChecks {
+            words,
+            keys: Vec::new(),
+            checks: Vec::new(),
+        }
+    }
+
+    /// Queues `checks` as the in-flight copy for (`set`, `way`).
+    pub(crate) fn push(&mut self, set: usize, way: usize, checks: &[u8]) {
+        self.keys.push((set, way));
+        self.checks.extend_from_slice(checks);
+    }
+
+    /// Drops every entry of (`set`, `way`), keeping the others in order;
+    /// returns how many were dropped.
+    pub(crate) fn release(&mut self, set: usize, way: usize) -> usize {
+        let w = self.words;
+        let mut kept = 0;
+        for i in 0..self.keys.len() {
+            if self.keys[i] != (set, way) {
+                self.keys[kept] = self.keys[i];
+                self.checks.copy_within(i * w..(i + 1) * w, kept * w);
+                kept += 1;
+            }
+        }
+        let dropped = self.keys.len() - kept;
+        self.keys.truncate(kept);
+        self.checks.truncate(kept * w);
+        dropped
+    }
+
+    /// The freshest in-flight checks of (`set`, `way`).
+    pub(crate) fn find(&self, set: usize, way: usize) -> Option<&[u8]> {
+        let w = self.words;
+        self.keys
+            .iter()
+            .rposition(|&k| k == (set, way))
+            .map(|i| &self.checks[i * w..(i + 1) * w])
+    }
+
+    /// Whether any ECC-WB of `set` is in flight.
+    pub(crate) fn any_in(&self, set: usize) -> bool {
+        self.keys.iter().any(|&(s, _)| s == set)
+    }
+
+    /// Entries in flight.
+    pub(crate) fn len(&self) -> usize {
+        self.keys.len()
+    }
 }
 
 /// Statistics specific to the proposed scheme.
@@ -63,18 +122,21 @@ impl NonUniformStats {
 /// The paper's non-uniform protection scheme.
 #[derive(Debug, Clone)]
 pub struct NonUniformScheme {
-    code: Secded64,
     /// Per-line interleaved parity (one array per way, flattened).
     parity: Vec<InterleavedParity>,
-    /// The shared ECC array: one optional entry per set.
-    entries: Vec<Option<EccEntry>>,
+    /// The shared ECC array's owners: the way holding each set's entry.
+    owner: Vec<Option<usize>>,
+    /// The shared ECC array's check bytes, `words` per set, refreshed in
+    /// place (meaningless while the set's entry is free).
+    checks: Vec<u8>,
+    words: usize,
     /// Entries displaced by [`Self::claim_entry`] whose forced clean-back
     /// (ECC-WB) has not yet completed. The displaced check bits travel
     /// with the write-back — "which must be written back to the main
     /// memory" — so they keep protecting the displaced line until its
     /// `Cleaned`/`Evict` event retires them. This is in-flight state, not
     /// extra storage: it models the ECC data on the write-back path.
-    retiring: Vec<Vec<EccEntry>>,
+    retiring: RetiringChecks,
     ways: usize,
     area: AreaModel,
     stats: NonUniformStats,
@@ -85,11 +147,13 @@ impl NonUniformScheme {
     /// Builds the scheme for an L2 with configuration `l2`.
     #[must_use]
     pub fn new(l2: &CacheConfig) -> Self {
+        let words = l2.words_per_line();
         NonUniformScheme {
-            code: Secded64::new(),
             parity: vec![InterleavedParity::default(); l2.lines() as usize],
-            entries: vec![None; l2.sets() as usize],
-            retiring: vec![Vec::new(); l2.sets() as usize],
+            owner: vec![None; l2.sets() as usize],
+            checks: vec![0; l2.sets() as usize * words],
+            words,
+            retiring: RetiringChecks::new(words),
             ways: l2.ways as usize,
             area: AreaModel::new(l2),
             stats: NonUniformStats::default(),
@@ -106,11 +170,15 @@ impl NonUniformScheme {
     /// The set's current ECC-entry owner (diagnostics/tests).
     #[must_use]
     pub fn entry_owner(&self, set: usize) -> Option<usize> {
-        self.entries[set].as_ref().map(|e| e.way)
+        self.owner[set]
     }
 
     fn parity_slot(&self, set: usize, way: usize) -> usize {
         set * self.ways + way
+    }
+
+    fn entry_checks(&self, set: usize) -> std::ops::Range<usize> {
+        set * self.words..(set + 1) * self.words
     }
 
     fn refresh_parity(&mut self, l2: &Cache, set: usize, way: usize) {
@@ -121,67 +189,49 @@ impl NonUniformScheme {
         self.parity[slot] = InterleavedParity::encode(data);
     }
 
-    fn encode_checks(&self, l2: &Cache, set: usize, way: usize) -> Box<[u8]> {
-        l2.line_data(set, way)
-            .expect("the protected L2 stores line data")
-            .iter()
-            .map(|&w| self.code.encode(w))
-            .collect()
-    }
-
     /// A write dirtied (`set`, `way`): claim or refresh the set's ECC
     /// entry, evicting another way's entry if necessary.
     fn claim_entry(&mut self, l2: &Cache, set: usize, way: usize, directives: &mut Vec<Directive>) {
-        let checks = self.encode_checks(l2, set, way);
-        match &mut self.entries[set] {
-            Some(entry) if entry.way == way => {
-                entry.checks = checks;
+        let range = self.entry_checks(set);
+        match self.owner[set] {
+            Some(owner) if owner == way => {
                 self.stats.entries_refreshed += 1;
             }
-            Some(entry) => {
+            Some(owner) => {
                 // "This results in an eviction of the ECC data for the
                 // dirty cache line already in the cache set, which must be
                 // written back to the main memory."
-                directives.push(Directive::ForceClean {
-                    set,
-                    way: entry.way,
-                });
-                let displaced = EccEntry {
-                    way: entry.way,
-                    checks: std::mem::replace(&mut entry.checks, checks),
-                };
-                entry.way = way;
-                self.retiring[set].push(displaced);
+                directives.push(Directive::ForceClean { set, way: owner });
+                self.retiring.push(set, owner, &self.checks[range.clone()]);
+                self.owner[set] = Some(way);
                 self.stats.entries_evicted += 1;
             }
-            slot @ None => {
-                *slot = Some(EccEntry { way, checks });
+            None => {
+                self.owner[set] = Some(way);
                 self.stats.entries_allocated += 1;
             }
         }
+        let data = l2
+            .line_data(set, way)
+            .expect("the protected L2 stores line data");
+        encode_line(data, &mut self.checks[range]);
     }
 
     fn release_entry(&mut self, set: usize, way: usize) {
-        if self.entries[set].as_ref().is_some_and(|e| e.way == way) {
-            self.entries[set] = None;
+        if self.owner[set] == Some(way) {
+            self.owner[set] = None;
         }
-        let before = self.retiring[set].len();
-        self.retiring[set].retain(|e| e.way != way);
-        self.stats.entries_retired += (before - self.retiring[set].len()) as u64;
+        self.stats.entries_retired += self.retiring.release(set, way) as u64;
     }
 
     /// The check bytes currently protecting (`set`, `way`): the set's
     /// live entry if this way owns it, else the freshest retiring entry
     /// riding the way's in-flight ECC-WB.
     fn checks_for(&self, set: usize, way: usize) -> Option<&[u8]> {
-        if let Some(e) = self.entries[set].as_ref().filter(|e| e.way == way) {
-            return Some(&e.checks);
+        if self.owner[set] == Some(way) {
+            return Some(&self.checks[self.entry_checks(set)]);
         }
-        self.retiring[set]
-            .iter()
-            .rev()
-            .find(|e| e.way == way)
-            .map(|e| &*e.checks)
+        self.retiring.find(set, way)
     }
 
     /// Cross-checks the at-most-one-dirty-line-per-set invariant against
@@ -201,15 +251,15 @@ impl NonUniformScheme {
             if dirty_ways.len() > 1 {
                 return Some(set);
             }
-            match (&self.entries[set], dirty_ways.first()) {
-                (Some(e), Some(&w)) if e.way == w => {}
+            match (self.owner[set], dirty_ways.first()) {
+                (Some(owner), Some(&w)) if owner == w => {}
                 (None, None) => {}
                 // A dirty line must own the entry; an entry must have a
                 // dirty owner.
                 _ => return Some(set),
             }
             // Once directives settle, no ECC-WB is in flight.
-            if !self.retiring[set].is_empty() {
+            if self.retiring.any_in(set) {
                 return Some(set);
             }
         }
@@ -287,34 +337,15 @@ impl ProtectionScheme for NonUniformScheme {
         if was_dirty {
             // Every dirty line has check bits: the live entry, or the
             // retiring copy travelling with its in-flight ECC-WB.
-            let checks = match self.checks_for(set, way) {
-                Some(c) => c.to_vec(),
-                None => {
-                    debug_assert!(false, "dirty line without an ECC entry");
-                    return RecoveryOutcome::Unrecoverable;
-                }
+            let Some(checks) = self.checks_for(set, way) else {
+                debug_assert!(false, "dirty line without an ECC entry");
+                return RecoveryOutcome::Unrecoverable;
             };
-            let words: Vec<u64> = l2
-                .line_data(set, way)
-                .expect("the protected L2 stores line data")
-                .to_vec();
-            let mut repaired = 0usize;
-            for (i, &w) in words.iter().enumerate() {
-                match self.code.decode(w, checks[i]) {
-                    Decoded::Clean { .. } => {}
-                    Decoded::Corrected { data, .. } => {
-                        l2.write_word(set, way, i, data);
-                        repaired += 1;
-                    }
-                    Decoded::Uncorrectable => return RecoveryOutcome::Unrecoverable,
-                }
-            }
-            if repaired > 0 {
+            let outcome = decode_resident(l2, set, way, checks);
+            if let RecoveryOutcome::CorrectedByEcc { .. } = outcome {
                 self.refresh_parity(l2, set, way);
-                RecoveryOutcome::CorrectedByEcc { words: repaired }
-            } else {
-                RecoveryOutcome::Clean
             }
+            outcome
         } else {
             // Clean line: parity detection + refetch recovery.
             let stored = self.parity[self.parity_slot(set, way)];
@@ -327,10 +358,7 @@ impl ProtectionScheme for NonUniformScheme {
             if ok {
                 return RecoveryOutcome::Clean;
             }
-            let fresh = memory.read_line(view.line);
-            for (i, &w) in fresh.iter().enumerate() {
-                l2.write_word(set, way, i, w);
-            }
+            refetch(l2, set, way, memory);
             self.refresh_parity(l2, set, way);
             RecoveryOutcome::RecoveredByRefetch
         }
@@ -338,23 +366,7 @@ impl ProtectionScheme for NonUniformScheme {
 
     fn verify_writeback(&mut self, set: usize, way: usize, data: &mut [u64]) -> RecoveryOutcome {
         if let Some(checks) = self.checks_for(set, way) {
-            let checks = checks.to_vec();
-            let mut repaired = 0usize;
-            for (i, w) in data.iter_mut().enumerate() {
-                match self.code.decode(*w, checks[i]) {
-                    Decoded::Clean { .. } => {}
-                    Decoded::Corrected { data, .. } => {
-                        *w = data;
-                        repaired += 1;
-                    }
-                    Decoded::Uncorrectable => return RecoveryOutcome::Unrecoverable,
-                }
-            }
-            if repaired > 0 {
-                RecoveryOutcome::CorrectedByEcc { words: repaired }
-            } else {
-                RecoveryOutcome::Clean
-            }
+            decode_payload(data, checks)
         } else {
             // No ECC entry for this line: parity detection only.
             let stored = self.parity[self.parity_slot(set, way)];
@@ -367,7 +379,7 @@ impl ProtectionScheme for NonUniformScheme {
     }
 
     fn protected_dirty_lines(&self) -> usize {
-        self.entries.iter().filter(|e| e.is_some()).count()
+        self.owner.iter().filter(|o| o.is_some()).count()
     }
 
     fn dirty_line_covered(&self, set: usize, way: usize) -> bool {
@@ -390,10 +402,7 @@ impl ProtectionScheme for NonUniformScheme {
         reg.scoped("energy", |r| self.energy.register_stats(r));
         reg.scoped("ecc_array", |r| {
             self.stats.register_stats(r);
-            r.counter(
-                "in_flight_retiring",
-                self.retiring.iter().map(|v| v.len() as u64).sum(),
-            );
+            r.counter("in_flight_retiring", self.retiring.len() as u64);
         });
     }
 }
@@ -440,7 +449,8 @@ mod tests {
                 for d in dirs {
                     let Directive::ForceClean { set, way } = d;
                     if let Some(ev) = self.l2.force_clean(set, way, 0, WbClass::EccEviction) {
-                        self.mem.write_line(ev.line, ev.data.unwrap());
+                        self.mem
+                            .write_line(ev.line, self.l2.line_data(set, way).unwrap());
                         self.ecc_wb += 1;
                     }
                 }
@@ -456,8 +466,8 @@ mod tests {
                 }
                 None => {
                     self.l2.lookup(line, AccessKind::Write, 0); // miss (counted)
-                    let data: Box<[u64]> = (0..8).map(|i| seed ^ i).collect();
-                    let out = self.l2.install(line, true, 0, Some(data));
+                    let data: Vec<u64> = (0..8).map(|i| seed ^ i).collect();
+                    let out = self.l2.install(line, true, 0, Some(&data));
                     (out.set, out.way)
                 }
             };
@@ -467,8 +477,9 @@ mod tests {
         }
 
         fn read_fill(&mut self, line: LineAddr) -> (usize, usize) {
-            let data = self.mem.read_line(line);
-            let out = self.l2.install(line, false, 0, Some(data));
+            let mut data = [0u64; 8];
+            self.mem.read_line(line, &mut data);
+            let out = self.l2.install(line, false, 0, Some(&data));
             self.drain();
             (out.set, out.way)
         }
@@ -535,7 +546,7 @@ mod tests {
         let mut h = Harness::new();
         let (set, way) = h.write_line(LineAddr(7), 9);
         let ev = h.l2.force_clean(set, way, 0, WbClass::Cleaning).unwrap();
-        h.mem.write_line(ev.line, ev.data.unwrap());
+        h.mem.write_line(ev.line, h.l2.line_data(set, way).unwrap());
         h.drain();
         assert_eq!(h.scheme.entry_owner(set), None);
         assert_eq!(h.scheme.protected_dirty_lines(), 0);
@@ -572,11 +583,12 @@ mod tests {
         let mut h = Harness::new();
         let line = LineAddr(6);
         let (set, way) = h.read_fill(line);
-        let pristine = h.mem.read_line(line);
+        let mut pristine = [0u64; 8];
+        h.mem.read_line(line, &mut pristine);
         h.l2.strike(set, way, 2, 20);
         let outcome = h.scheme.verify_line(&mut h.l2, set, way, &mut h.mem);
         assert_eq!(outcome, RecoveryOutcome::RecoveredByRefetch);
-        assert_eq!(h.l2.line_data(set, way).unwrap(), &*pristine);
+        assert_eq!(h.l2.line_data(set, way).unwrap(), &pristine);
     }
 
     #[test]
@@ -615,8 +627,8 @@ mod tests {
         let (set, way_a) = h.write_line(LineAddr(0), 1);
         // Displace A's entry by hand, holding the directive un-executed.
         h.l2.lookup(LineAddr(16), AccessKind::Write, 0);
-        let data: Box<[u64]> = (0..8).map(|i| 2 ^ i).collect();
-        let out = h.l2.install(LineAddr(16), true, 0, Some(data));
+        let data: Vec<u64> = (0..8).map(|i| 2 ^ i).collect();
+        let out = h.l2.install(LineAddr(16), true, 0, Some(&data));
         assert_ne!(out.way, way_a);
         let events = h.l2.take_events();
         let mut dirs = Vec::new();
@@ -638,7 +650,7 @@ mod tests {
         // Completing the clean-back retires the in-flight checks.
         for Directive::ForceClean { set, way } in dirs {
             if let Some(ev) = h.l2.force_clean(set, way, 0, WbClass::EccEviction) {
-                h.mem.write_line(ev.line, ev.data.unwrap());
+                h.mem.write_line(ev.line, h.l2.line_data(set, way).unwrap());
             }
         }
         h.drain();

@@ -11,33 +11,35 @@
 //! conventional per-way ECC for dirty lines.
 
 use aep_ecc::parity::InterleavedParity;
-use aep_ecc::{Decoded, Secded64};
 use aep_mem::cache::{Cache, L2Event};
 use aep_mem::{CacheConfig, MainMemory};
 
 use crate::area::{AreaModel, AreaReport};
-use crate::nonuniform::NonUniformStats;
-use crate::scheme::{Directive, ProtectionScheme, RecoveryOutcome};
-
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct Entry {
-    way: usize,
-    checks: Box<[u8]>,
-    /// Allocation/refresh order stamp for FIFO eviction.
-    stamp: u64,
-}
+use crate::nonuniform::{NonUniformStats, RetiringChecks};
+use crate::scheme::{
+    decode_payload, decode_resident, encode_line, refetch, Directive, ProtectionScheme,
+    RecoveryOutcome,
+};
 
 /// Non-uniform protection with a `k`-entry-per-set shared ECC array.
+///
+/// Set `s` owns entry slots `s * k .. (s + 1) * k`; each slot records the
+/// way it protects, its allocation/refresh stamp (for FIFO eviction) and
+/// `words` check bytes in one flat array, refreshed in place.
 #[derive(Debug, Clone)]
 pub struct MultiEntryScheme {
-    code: Secded64,
     parity: Vec<InterleavedParity>,
-    /// `entries[set]` holds at most `entries_per_set` dirty-line entries.
-    entries: Vec<Vec<Entry>>,
+    /// The way each entry slot protects (`None` = free).
+    owner: Vec<Option<usize>>,
+    /// Allocation/refresh order stamp of each entry slot.
+    stamps: Vec<u64>,
+    /// Check bytes, `words` per entry slot.
+    checks: Vec<u8>,
+    words: usize,
     /// Displaced entries whose forced clean-back (ECC-WB) is in flight:
     /// the checks travel with the write-back and keep protecting the
     /// displaced line until its `Cleaned`/`Evict` event retires them.
-    retiring: Vec<Vec<Entry>>,
+    retiring: RetiringChecks,
     entries_per_set: usize,
     ways: usize,
     area: AreaModel,
@@ -59,11 +61,15 @@ impl MultiEntryScheme {
             entries_per_set <= l2.ways as usize,
             "more entries than ways is wasted area"
         );
+        let slots = l2.sets() as usize * entries_per_set;
+        let words = l2.words_per_line();
         MultiEntryScheme {
-            code: Secded64::new(),
             parity: vec![InterleavedParity::default(); l2.lines() as usize],
-            entries: vec![Vec::with_capacity(entries_per_set); l2.sets() as usize],
-            retiring: vec![Vec::new(); l2.sets() as usize],
+            owner: vec![None; slots],
+            stamps: vec![0; slots],
+            checks: vec![0; slots * words],
+            words,
+            retiring: RetiringChecks::new(words),
             entries_per_set,
             ways: l2.ways as usize,
             area: AreaModel::new(l2),
@@ -90,6 +96,20 @@ impl MultiEntryScheme {
         set * self.ways + way
     }
 
+    /// The entry slots of `set`.
+    fn entry_slots(&self, set: usize) -> std::ops::Range<usize> {
+        set * self.entries_per_set..(set + 1) * self.entries_per_set
+    }
+
+    fn slot_checks(&self, slot: usize) -> std::ops::Range<usize> {
+        slot * self.words..(slot + 1) * self.words
+    }
+
+    /// The entry slot of `set` protecting `way`, if any.
+    fn slot_of(&self, set: usize, way: usize) -> Option<usize> {
+        self.entry_slots(set).find(|&e| self.owner[e] == Some(way))
+    }
+
     fn refresh_parity(&mut self, l2: &Cache, set: usize, way: usize) {
         let data = l2
             .line_data(set, way)
@@ -98,64 +118,56 @@ impl MultiEntryScheme {
         self.parity[slot] = InterleavedParity::encode(data);
     }
 
-    fn encode_checks(&self, l2: &Cache, set: usize, way: usize) -> Box<[u8]> {
-        l2.line_data(set, way)
-            .expect("the protected L2 stores line data")
-            .iter()
-            .map(|&w| self.code.encode(w))
-            .collect()
-    }
-
     fn claim(&mut self, l2: &Cache, set: usize, way: usize, directives: &mut Vec<Directive>) {
-        let checks = self.encode_checks(l2, set, way);
         self.stamp += 1;
-        let stamp = self.stamp;
-        let slot = &mut self.entries[set];
-        if let Some(entry) = slot.iter_mut().find(|e| e.way == way) {
-            entry.checks = checks;
-            entry.stamp = stamp;
+        let slot = if let Some(e) = self.slot_of(set, way) {
             self.stats.entries_refreshed += 1;
-            return;
-        }
-        if slot.len() == self.entries_per_set {
-            // Evict the oldest entry: its line loses ECC protection and
-            // must be written back (ECC-WB), as in the 1-entry design.
-            let oldest = slot
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, e)| e.stamp)
-                .map(|(i, _)| i)
-                .expect("slot is full, so non-empty");
-            let victim = slot.remove(oldest);
-            directives.push(Directive::ForceClean {
-                set,
-                way: victim.way,
-            });
-            self.retiring[set].push(victim);
-            self.stats.entries_evicted += 1;
-        }
-        self.entries[set].push(Entry { way, checks, stamp });
-        self.stats.entries_allocated += 1;
+            e
+        } else {
+            let e = match self.entry_slots(set).find(|&e| self.owner[e].is_none()) {
+                Some(free) => free,
+                None => {
+                    // Evict the oldest entry: its line loses ECC protection
+                    // and must be written back (ECC-WB), as in the 1-entry
+                    // design.
+                    let oldest = self
+                        .entry_slots(set)
+                        .min_by_key(|&e| self.stamps[e])
+                        .expect("k >= 1 entry slots per set");
+                    let victim = self.owner[oldest].expect("a full set has no free slot");
+                    directives.push(Directive::ForceClean { set, way: victim });
+                    let range = self.slot_checks(oldest);
+                    self.retiring.push(set, victim, &self.checks[range]);
+                    self.stats.entries_evicted += 1;
+                    oldest
+                }
+            };
+            self.owner[e] = Some(way);
+            self.stats.entries_allocated += 1;
+            e
+        };
+        self.stamps[slot] = self.stamp;
+        let range = self.slot_checks(slot);
+        let data = l2
+            .line_data(set, way)
+            .expect("the protected L2 stores line data");
+        encode_line(data, &mut self.checks[range]);
     }
 
     fn release(&mut self, set: usize, way: usize) {
-        self.entries[set].retain(|e| e.way != way);
-        let before = self.retiring[set].len();
-        self.retiring[set].retain(|e| e.way != way);
-        self.stats.entries_retired += (before - self.retiring[set].len()) as u64;
+        if let Some(e) = self.slot_of(set, way) {
+            self.owner[e] = None;
+        }
+        self.stats.entries_retired += self.retiring.release(set, way) as u64;
     }
 
     /// The check bytes currently protecting (`set`, `way`): a live entry,
     /// or the freshest retiring entry riding the way's in-flight ECC-WB.
     fn checks_for(&self, set: usize, way: usize) -> Option<&[u8]> {
-        if let Some(e) = self.entries[set].iter().find(|e| e.way == way) {
-            return Some(&e.checks);
+        match self.slot_of(set, way) {
+            Some(e) => Some(&self.checks[self.slot_checks(e)]),
+            None => self.retiring.find(set, way),
         }
-        self.retiring[set]
-            .iter()
-            .rev()
-            .find(|e| e.way == way)
-            .map(|e| &*e.checks)
     }
 
     /// Checks the generalised invariant: at most `k` dirty lines per set,
@@ -172,14 +184,17 @@ impl MultiEntryScheme {
             if dirty.len() > self.entries_per_set {
                 return Some(set);
             }
-            let mut owned: Vec<usize> = self.entries[set].iter().map(|e| e.way).collect();
+            let mut owned: Vec<usize> = self
+                .entry_slots(set)
+                .filter_map(|e| self.owner[e])
+                .collect();
             dirty.sort_unstable();
             owned.sort_unstable();
             if dirty != owned {
                 return Some(set);
             }
             // Once directives settle, no ECC-WB is in flight.
-            if !self.retiring[set].is_empty() {
+            if self.retiring.any_in(set) {
                 return Some(set);
             }
         }
@@ -242,34 +257,15 @@ impl ProtectionScheme for MultiEntryScheme {
             return RecoveryOutcome::Clean;
         }
         if was_dirty {
-            let checks = match self.checks_for(set, way) {
-                Some(c) => c.to_vec(),
-                None => {
-                    debug_assert!(false, "dirty line without an ECC entry");
-                    return RecoveryOutcome::Unrecoverable;
-                }
+            let Some(checks) = self.checks_for(set, way) else {
+                debug_assert!(false, "dirty line without an ECC entry");
+                return RecoveryOutcome::Unrecoverable;
             };
-            let words: Vec<u64> = l2
-                .line_data(set, way)
-                .expect("the protected L2 stores line data")
-                .to_vec();
-            let mut repaired = 0usize;
-            for (i, &w) in words.iter().enumerate() {
-                match self.code.decode(w, checks[i]) {
-                    Decoded::Clean { .. } => {}
-                    Decoded::Corrected { data, .. } => {
-                        l2.write_word(set, way, i, data);
-                        repaired += 1;
-                    }
-                    Decoded::Uncorrectable => return RecoveryOutcome::Unrecoverable,
-                }
-            }
-            if repaired > 0 {
+            let outcome = decode_resident(l2, set, way, checks);
+            if let RecoveryOutcome::CorrectedByEcc { .. } = outcome {
                 self.refresh_parity(l2, set, way);
-                RecoveryOutcome::CorrectedByEcc { words: repaired }
-            } else {
-                RecoveryOutcome::Clean
             }
+            outcome
         } else {
             let stored = self.parity[self.parity_slot(set, way)];
             let ok = {
@@ -281,10 +277,7 @@ impl ProtectionScheme for MultiEntryScheme {
             if ok {
                 return RecoveryOutcome::Clean;
             }
-            let fresh = memory.read_line(view.line);
-            for (i, &w) in fresh.iter().enumerate() {
-                l2.write_word(set, way, i, w);
-            }
+            refetch(l2, set, way, memory);
             self.refresh_parity(l2, set, way);
             RecoveryOutcome::RecoveredByRefetch
         }
@@ -292,23 +285,7 @@ impl ProtectionScheme for MultiEntryScheme {
 
     fn verify_writeback(&mut self, set: usize, way: usize, data: &mut [u64]) -> RecoveryOutcome {
         if let Some(checks) = self.checks_for(set, way) {
-            let checks = checks.to_vec();
-            let mut repaired = 0usize;
-            for (i, w) in data.iter_mut().enumerate() {
-                match self.code.decode(*w, checks[i]) {
-                    Decoded::Clean { .. } => {}
-                    Decoded::Corrected { data, .. } => {
-                        *w = data;
-                        repaired += 1;
-                    }
-                    Decoded::Uncorrectable => return RecoveryOutcome::Unrecoverable,
-                }
-            }
-            if repaired > 0 {
-                RecoveryOutcome::CorrectedByEcc { words: repaired }
-            } else {
-                RecoveryOutcome::Clean
-            }
+            decode_payload(data, checks)
         } else {
             let stored = self.parity[self.parity_slot(set, way)];
             if InterleavedParity::verify(data, stored).is_ok() {
@@ -320,7 +297,7 @@ impl ProtectionScheme for MultiEntryScheme {
     }
 
     fn protected_dirty_lines(&self) -> usize {
-        self.entries.iter().map(Vec::len).sum()
+        self.owner.iter().filter(|o| o.is_some()).count()
     }
 
     fn dirty_line_covered(&self, set: usize, way: usize) -> bool {
@@ -342,10 +319,7 @@ impl ProtectionScheme for MultiEntryScheme {
         reg.scoped("ecc_array", |r| {
             self.stats.register_stats(r);
             r.counter("entries_per_set", self.entries_per_set as u64);
-            r.counter(
-                "in_flight_retiring",
-                self.retiring.iter().map(|v| v.len() as u64).sum(),
-            );
+            r.counter("in_flight_retiring", self.retiring.len() as u64);
         });
     }
 }
@@ -381,8 +355,8 @@ mod tests {
         fn write_line(&mut self, line: LineAddr, seed: u64) {
             if self.l2.peek(line).is_none() {
                 self.l2.lookup(line, AccessKind::Write, 0);
-                let data: Box<[u64]> = (0..8).map(|i| seed ^ i).collect();
-                self.l2.install(line, true, 0, Some(data));
+                let data: Vec<u64> = (0..8).map(|i| seed ^ i).collect();
+                self.l2.install(line, true, 0, Some(&data));
             } else {
                 self.l2.lookup(line, AccessKind::Write, 0);
             }
@@ -397,7 +371,8 @@ mod tests {
                 }
                 for Directive::ForceClean { set, way } in dirs {
                     if let Some(ev) = self.l2.force_clean(set, way, 0, WbClass::EccEviction) {
-                        self.mem.write_line(ev.line, ev.data.unwrap());
+                        self.mem
+                            .write_line(ev.line, self.l2.line_data(set, way).unwrap());
                         self.ecc_wb += 1;
                     }
                 }
@@ -452,8 +427,8 @@ mod tests {
             let line = LineAddr(line);
             if single_l2.peek(line).is_none() {
                 single_l2.lookup(line, AccessKind::Write, 0);
-                let data: Box<[u64]> = (0..8).map(|w| (i as u64) ^ w).collect();
-                single_l2.install(line, true, 0, Some(data));
+                let data: Vec<u64> = (0..8).map(|w| (i as u64) ^ w).collect();
+                single_l2.install(line, true, 0, Some(&data));
             } else {
                 single_l2.lookup(line, AccessKind::Write, 0);
             }
@@ -488,8 +463,8 @@ mod tests {
         h.write_line(LineAddr(0), 1);
         let (set, way_a) = h.l2.peek(LineAddr(0)).unwrap();
         h.l2.lookup(LineAddr(16), AccessKind::Write, 0);
-        let data: Box<[u64]> = (0..8).map(|i| 2 ^ i).collect();
-        let out = h.l2.install(LineAddr(16), true, 0, Some(data));
+        let data: Vec<u64> = (0..8).map(|i| 2 ^ i).collect();
+        let out = h.l2.install(LineAddr(16), true, 0, Some(&data));
         assert_ne!(out.way, way_a);
         let events = h.l2.take_events();
         let mut dirs = Vec::new();
@@ -507,7 +482,7 @@ mod tests {
 
         for Directive::ForceClean { set, way } in dirs {
             if let Some(ev) = h.l2.force_clean(set, way, 0, WbClass::EccEviction) {
-                h.mem.write_line(ev.line, ev.data.unwrap());
+                h.mem.write_line(ev.line, h.l2.line_data(set, way).unwrap());
                 h.ecc_wb += 1;
             }
         }

@@ -11,7 +11,7 @@ use aep_mem::cache::{Cache, L2Event};
 use aep_mem::{CacheConfig, MainMemory};
 
 use crate::area::{AreaModel, AreaReport};
-use crate::scheme::{Directive, EnergyCounters, ProtectionScheme, RecoveryOutcome};
+use crate::scheme::{refetch, Directive, EnergyCounters, ProtectionScheme, RecoveryOutcome};
 
 /// Parity on every line; refetch recovers clean lines only.
 #[derive(Debug, Clone)]
@@ -96,10 +96,7 @@ impl ProtectionScheme for ParityOnlyScheme {
             return RecoveryOutcome::Unrecoverable;
         }
         // Clean line: the next memory level has pristine data.
-        let fresh = memory.read_line(view.line);
-        for (i, &w) in fresh.iter().enumerate() {
-            l2.write_word(set, way, i, w);
-        }
+        refetch(l2, set, way, memory);
         self.refresh(l2, set, way);
         RecoveryOutcome::RecoveredByRefetch
     }
@@ -149,21 +146,22 @@ mod tests {
     fn struck_clean_line_is_refetched() {
         let (mut l2, mut scheme, mut mem) = setup();
         let line = LineAddr(11);
-        let pristine = mem.read_line(line);
-        let out = l2.install(line, false, 0, Some(pristine.clone()));
+        let mut pristine = [0u64; 8];
+        mem.read_line(line, &mut pristine);
+        let out = l2.install(line, false, 0, Some(&pristine));
         drain(&mut l2, &mut scheme);
         l2.strike(out.set, out.way, 4, 44);
         assert_eq!(
             scheme.verify_line(&mut l2, out.set, out.way, &mut mem),
             RecoveryOutcome::RecoveredByRefetch
         );
-        assert_eq!(l2.line_data(out.set, out.way).unwrap(), &*pristine);
+        assert_eq!(l2.line_data(out.set, out.way).unwrap(), &pristine);
     }
 
     #[test]
     fn struck_dirty_line_is_lost() {
         let (mut l2, mut scheme, mut mem) = setup();
-        let out = l2.install(LineAddr(12), true, 0, Some(vec![5; 8].into_boxed_slice()));
+        let out = l2.install(LineAddr(12), true, 0, Some(&[5; 8]));
         drain(&mut l2, &mut scheme);
         l2.strike(out.set, out.way, 0, 0);
         assert_eq!(
@@ -175,7 +173,7 @@ mod tests {
     #[test]
     fn unstruck_lines_verify_clean() {
         let (mut l2, mut scheme, mut mem) = setup();
-        let out = l2.install(LineAddr(13), true, 0, Some(vec![5; 8].into_boxed_slice()));
+        let out = l2.install(LineAddr(13), true, 0, Some(&[5; 8]));
         drain(&mut l2, &mut scheme);
         assert_eq!(
             scheme.verify_line(&mut l2, out.set, out.way, &mut mem),
@@ -190,13 +188,13 @@ mod tests {
         let (mut l2, mut scheme, mut mem) = setup();
         let line = LineAddr(14);
         let data = vec![0xAB; 8];
-        let out = l2.install(line, true, 0, Some(data.clone().into_boxed_slice()));
+        let out = l2.install(line, true, 0, Some(&data));
         drain(&mut l2, &mut scheme);
         // Simulate the cleaning write-back (data reaches memory).
         let ev = l2
             .force_clean(out.set, out.way, 1, WbClass::Cleaning)
             .expect("line was dirty");
-        mem.write_line(ev.line, ev.data.unwrap());
+        mem.write_line(ev.line, l2.line_data(out.set, out.way).unwrap());
         drain(&mut l2, &mut scheme);
         l2.strike(out.set, out.way, 1, 9);
         assert_eq!(

@@ -7,6 +7,7 @@
 //! directives through the hierarchy so the resulting traffic is charged to
 //! the bus like any other write-back.
 
+use aep_ecc::{Decoded, Secded64};
 use aep_mem::cache::{Cache, L2Event};
 use aep_mem::MainMemory;
 
@@ -227,6 +228,77 @@ impl RecoveryOutcome {
     #[must_use]
     pub fn is_recovered(&self) -> bool {
         !matches!(self, RecoveryOutcome::Unrecoverable)
+    }
+}
+
+/// SECDED-encodes `data` word by word into `checks`, in place.
+pub(crate) fn encode_line(data: &[u64], checks: &mut [u8]) {
+    let code = Secded64::new();
+    for (c, &w) in checks.iter_mut().zip(data) {
+        *c = code.encode(w);
+    }
+}
+
+/// SECDED-decodes the resident line (`set`, `way`) word by word against
+/// `checks`, repairing correctable words in the cache as it goes; stops at
+/// the first uncorrectable word.
+pub(crate) fn decode_resident(
+    l2: &mut Cache,
+    set: usize,
+    way: usize,
+    checks: &[u8],
+) -> RecoveryOutcome {
+    let code = Secded64::new();
+    let mut repaired = 0usize;
+    for (i, &check) in checks.iter().enumerate() {
+        let word = l2
+            .line_data(set, way)
+            .expect("the protected L2 stores line data")[i];
+        match code.decode(word, check) {
+            Decoded::Clean { .. } => {}
+            Decoded::Corrected { data, .. } => {
+                l2.write_word(set, way, i, data);
+                repaired += 1;
+            }
+            Decoded::Uncorrectable => return RecoveryOutcome::Unrecoverable,
+        }
+    }
+    corrected(repaired)
+}
+
+/// [`decode_resident`] for a write-back payload: repairs `data` in place.
+pub(crate) fn decode_payload(data: &mut [u64], checks: &[u8]) -> RecoveryOutcome {
+    let code = Secded64::new();
+    let mut repaired = 0usize;
+    for (w, &check) in data.iter_mut().zip(checks) {
+        match code.decode(*w, check) {
+            Decoded::Clean { .. } => {}
+            Decoded::Corrected { data, .. } => {
+                *w = data;
+                repaired += 1;
+            }
+            Decoded::Uncorrectable => return RecoveryOutcome::Unrecoverable,
+        }
+    }
+    corrected(repaired)
+}
+
+fn corrected(words: usize) -> RecoveryOutcome {
+    if words == 0 {
+        RecoveryOutcome::Clean
+    } else {
+        RecoveryOutcome::CorrectedByEcc { words }
+    }
+}
+
+/// Overwrites the resident line (`set`, `way`) with its memory copy —
+/// the clean-line recovery path (a fault path, so it may allocate).
+pub(crate) fn refetch(l2: &mut Cache, set: usize, way: usize, memory: &mut MainMemory) {
+    let line = l2.line_view(set, way).line;
+    let mut fresh = vec![0; l2.config().words_per_line()];
+    memory.read_line(line, &mut fresh);
+    for (i, &w) in fresh.iter().enumerate() {
+        l2.write_word(set, way, i, w);
     }
 }
 

@@ -188,8 +188,9 @@ mod tests {
         let (mut l2, mut scheme, mut mem) = setup();
         // Install one clean line at (0, 0) and sync the scheme.
         let line = LineAddr(0);
-        let data = mem.read_line(line);
-        l2.install(line, false, 0, Some(data.clone()));
+        let mut data = [0u64; 8];
+        mem.read_line(line, &mut data);
+        l2.install(line, false, 0, Some(&data));
         let mut dirs = Vec::new();
         for ev in l2.take_events() {
             scheme.on_event(&ev, &l2, &mut dirs);
@@ -200,7 +201,7 @@ mod tests {
         let mut s = Scrubber::new(1, l2.sets(), l2.ways());
         let outcome = s.tick(1, &mut l2, &mut scheme, &mut mem).expect("due");
         assert_eq!(outcome, RecoveryOutcome::RecoveredByRefetch);
-        assert_eq!(l2.line_data(0, 0).unwrap(), &*data);
+        assert_eq!(l2.line_data(0, 0).unwrap(), &data);
         assert_eq!(s.stats().refetched, 1);
         assert_eq!(s.stats().scrubbed, 1);
     }

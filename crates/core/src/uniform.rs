@@ -4,17 +4,18 @@
 //! and the `org` configuration of the paper's figures: one ECC array per
 //! cache way, 8 check bits per 64 data bits, 12.5 % storage overhead.
 
-use aep_ecc::{Decoded, Secded64};
 use aep_mem::cache::{Cache, L2Event};
 use aep_mem::{CacheConfig, MainMemory};
 
 use crate::area::{AreaModel, AreaReport};
-use crate::scheme::{Directive, EnergyCounters, ProtectionScheme, RecoveryOutcome};
+use crate::scheme::{
+    decode_payload, decode_resident, encode_line, Directive, EnergyCounters, ProtectionScheme,
+    RecoveryOutcome,
+};
 
 /// Uniform SECDED over every line (the paper's conventional architecture).
 #[derive(Debug, Clone)]
 pub struct UniformEccScheme {
-    code: Secded64,
     /// One check byte per 64-bit word, for every (line, word).
     checks: Vec<u8>,
     words_per_line: usize,
@@ -31,7 +32,6 @@ impl UniformEccScheme {
         let words_per_line = l2.words_per_line();
         let lines = l2.lines() as usize;
         UniformEccScheme {
-            code: Secded64::new(),
             checks: vec![0; lines * words_per_line],
             words_per_line,
             ways: l2.ways as usize,
@@ -41,18 +41,18 @@ impl UniformEccScheme {
         }
     }
 
-    fn slot(&self, set: usize, way: usize) -> usize {
-        (set * self.ways + way) * self.words_per_line
+    /// The check bytes of (`set`, `way`).
+    fn slot(&self, set: usize, way: usize) -> std::ops::Range<usize> {
+        let base = (set * self.ways + way) * self.words_per_line;
+        base..base + self.words_per_line
     }
 
     fn refresh(&mut self, l2: &Cache, set: usize, way: usize) {
-        let base = self.slot(set, way);
+        let range = self.slot(set, way);
         let data = l2
             .line_data(set, way)
             .expect("the protected L2 stores line data");
-        for (i, &w) in data.iter().enumerate() {
-            self.checks[base + i] = self.code.encode(w);
-        }
+        encode_line(data, &mut self.checks[range]);
     }
 }
 
@@ -96,47 +96,13 @@ impl ProtectionScheme for UniformEccScheme {
         if !l2.line_view(set, way).valid {
             return RecoveryOutcome::Clean;
         }
-        let base = self.slot(set, way);
-        let words: Vec<u64> = l2
-            .line_data(set, way)
-            .expect("the protected L2 stores line data")
-            .to_vec();
-        let mut repaired = 0usize;
-        for (i, &w) in words.iter().enumerate() {
-            match self.code.decode(w, self.checks[base + i]) {
-                Decoded::Clean { .. } => {}
-                Decoded::Corrected { data, .. } => {
-                    l2.write_word(set, way, i, data);
-                    repaired += 1;
-                }
-                Decoded::Uncorrectable => return RecoveryOutcome::Unrecoverable,
-            }
-        }
-        if repaired == 0 {
-            RecoveryOutcome::Clean
-        } else {
-            RecoveryOutcome::CorrectedByEcc { words: repaired }
-        }
+        let range = self.slot(set, way);
+        decode_resident(l2, set, way, &self.checks[range])
     }
 
     fn verify_writeback(&mut self, set: usize, way: usize, data: &mut [u64]) -> RecoveryOutcome {
-        let base = self.slot(set, way);
-        let mut repaired = 0usize;
-        for (i, w) in data.iter_mut().enumerate() {
-            match self.code.decode(*w, self.checks[base + i]) {
-                Decoded::Clean { .. } => {}
-                Decoded::Corrected { data, .. } => {
-                    *w = data;
-                    repaired += 1;
-                }
-                Decoded::Uncorrectable => return RecoveryOutcome::Unrecoverable,
-            }
-        }
-        if repaired == 0 {
-            RecoveryOutcome::Clean
-        } else {
-            RecoveryOutcome::CorrectedByEcc { words: repaired }
-        }
+        let range = self.slot(set, way);
+        decode_payload(data, &self.checks[range])
     }
 
     fn protected_dirty_lines(&self) -> usize {
@@ -169,7 +135,7 @@ mod tests {
         data: Vec<u64>,
     ) -> (usize, usize) {
         l2.set_event_emission(true);
-        let out = l2.install(line, false, 0, Some(data.into_boxed_slice()));
+        let out = l2.install(line, false, 0, Some(&data));
         let mut dirs = Vec::new();
         for ev in l2.take_events() {
             scheme.on_event(&ev, l2, &mut dirs);

@@ -12,7 +12,7 @@ use aep_mem::cache::Cache;
 use aep_mem::memory::mix64;
 use aep_mem::MainMemory;
 
-use crate::scheme::{ProtectionScheme, RecoveryOutcome};
+use crate::scheme::{refetch, ProtectionScheme, RecoveryOutcome};
 
 /// Tally of a fault-injection campaign.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -101,11 +101,7 @@ pub fn run_campaign(
                 report.unrecoverable += 1;
                 // Repair the line out-of-band so later strikes in the
                 // campaign start from intact data (as a reboot would).
-                let view = l2.line_view(set, way);
-                let fresh = memory.read_line(view.line);
-                for (i, &w) in fresh.iter().enumerate() {
-                    l2.write_word(set, way, i, w);
-                }
+                refetch(l2, set, way, memory);
                 // Resynchronise the scheme's check state.
                 let _ = scheme.verify_line(l2, set, way, memory);
             }
@@ -132,12 +128,13 @@ mod tests {
         for i in 0..32u64 {
             let line = LineAddr(i);
             let dirty = i % 3 == 0;
-            let data = if dirty {
-                (0..8).map(|w| mix64(i * 8 + w)).collect()
+            let mut data = [0u64; 8];
+            if dirty {
+                data = std::array::from_fn(|w| mix64(i * 8 + w as u64));
             } else {
-                mem.read_line(line)
-            };
-            l2.install(line, dirty, 0, Some(data));
+                mem.read_line(line, &mut data);
+            }
+            l2.install(line, dirty, 0, Some(&data));
             let mut dirs = Vec::new();
             for ev in l2.take_events() {
                 scheme.on_event(&ev, &l2, &mut dirs);

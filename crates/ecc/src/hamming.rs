@@ -14,6 +14,18 @@
 //! remaining 64 positions hold the data bits in LSB-first order. An eighth
 //! *overall parity* bit covers the entire 71-bit word, upgrading the
 //! single-error-correcting Hamming code to SECDED.
+//!
+//! # Byte-sliced encoding
+//!
+//! Every check bit is an XOR of data bits, so the encoder is linear over
+//! GF(2): `encode(a ^ b) == encode(a) ^ encode(b)`. Data bit `i` at
+//! codeword position `p` contributes the *column* `p | q << 7`, where the
+//! Hamming bits are `p` itself and `q` is the bit's net effect on the
+//! overall parity (the data bit plus each Hamming bit it toggles). A
+//! 64-bit word is the XOR of its eight byte lanes, so [`Secded64::encode`]
+//! is the XOR of eight lookups into a `const`-built table holding, for
+//! each lane and byte value, the XOR of the columns of its set bits. The
+//! tests check it against a bit-serial reference encoder and decoder.
 
 use crate::{Decoded, FlippedBit};
 
@@ -23,11 +35,80 @@ pub const CHECK_BITS: u32 = 8;
 pub const DATA_BITS: u32 = 64;
 /// Highest occupied codeword position (data + 7 Hamming checks).
 const TOP_POSITION: u32 = 71;
+/// Marks a codeword position that holds no data bit.
+const NO_DATA: u8 = u8::MAX;
+
+/// `DATA_POSITION[i]` = codeword position (1-based) of data bit `i`:
+/// the non-power-of-two positions in ascending order.
+const DATA_POSITION: [u32; DATA_BITS as usize] = data_positions();
+
+/// `POSITION_TO_DATA[p]` = the data bit held at codeword position `p`, or
+/// [`NO_DATA`] for check-bit slots.
+const POSITION_TO_DATA: [u8; (TOP_POSITION + 1) as usize] = position_to_data();
+
+/// `ENCODE[lane][v]` = check byte of the word `(v as u64) << (8 * lane)`.
+const ENCODE: [[u8; 256]; 8] = encode_table();
+
+const fn data_positions() -> [u32; DATA_BITS as usize] {
+    let mut out = [0u32; DATA_BITS as usize];
+    let mut next = 0;
+    let mut pos = 1u32;
+    while pos <= TOP_POSITION {
+        if !pos.is_power_of_two() {
+            out[next] = pos;
+            next += 1;
+        }
+        pos += 1;
+    }
+    assert!(next == DATA_BITS as usize);
+    out
+}
+
+const fn position_to_data() -> [u8; (TOP_POSITION + 1) as usize] {
+    let mut out = [NO_DATA; (TOP_POSITION + 1) as usize];
+    let mut bit = 0;
+    while bit < DATA_BITS as usize {
+        out[DATA_POSITION[bit] as usize] = bit as u8;
+        bit += 1;
+    }
+    out
+}
+
+/// The check byte contributed by data bit `bit` alone.
+const fn column(bit: usize) -> u8 {
+    let pos = DATA_POSITION[bit];
+    // The data bit itself plus every Hamming bit it sets.
+    let overall = (1 + pos.count_ones()) & 1;
+    (pos as u8) | ((overall as u8) << 7)
+}
+
+const fn encode_table() -> [[u8; 256]; 8] {
+    let mut table = [[0u8; 256]; 8];
+    let mut lane = 0;
+    while lane < 8 {
+        let mut value = 0;
+        while value < 256 {
+            let mut check = 0u8;
+            let mut j = 0;
+            while j < 8 {
+                if value & (1 << j) != 0 {
+                    check ^= column(8 * lane + j);
+                }
+                j += 1;
+            }
+            table[lane][value] = check;
+            value += 1;
+        }
+        lane += 1;
+    }
+    table
+}
 
 /// A SECDED Hamming(72,64) encoder/decoder.
 ///
-/// The struct is a zero-sized strategy object: position tables are computed
-/// once in [`Secded64::new`] and shared by encode/decode.
+/// The struct is a zero-sized strategy object: the position layout and
+/// the byte-sliced encode table are compile-time constants shared by
+/// every instance.
 ///
 /// ```
 /// use aep_ecc::hamming::Secded64;
@@ -36,53 +117,14 @@ const TOP_POSITION: u32 = 71;
 /// let check = code.encode(42);
 /// assert!(code.decode(42, check).is_clean());
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Secded64 {
-    /// `data_position[i]` = codeword position (1-based) of data bit `i`.
-    data_position: [u32; DATA_BITS as usize],
-    /// `position_to_data[p]` = `Some(i)` when codeword position `p` holds
-    /// data bit `i`.
-    position_to_data: [Option<u8>; (TOP_POSITION + 1) as usize],
-    /// `check_mask[c]` selects the data bits covered by Hamming check `c`,
-    /// so each check bit is a single masked popcount at encode time.
-    check_mask: [u64; 7],
-}
-
-impl Default for Secded64 {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
+pub struct Secded64(());
 
 impl Secded64 {
-    /// Builds the position tables for the (72,64) layout.
+    /// The (72,64) code.
     #[must_use]
-    pub fn new() -> Self {
-        let mut data_position = [0u32; DATA_BITS as usize];
-        let mut position_to_data = [None; (TOP_POSITION + 1) as usize];
-        let mut next_data = 0usize;
-        for pos in 1..=TOP_POSITION {
-            if pos.is_power_of_two() {
-                continue; // Hamming check-bit slot.
-            }
-            data_position[next_data] = pos;
-            position_to_data[pos as usize] = Some(next_data as u8);
-            next_data += 1;
-        }
-        debug_assert_eq!(next_data, DATA_BITS as usize);
-        let mut check_mask = [0u64; 7];
-        for (bit, &pos) in data_position.iter().enumerate() {
-            for (c, mask) in check_mask.iter_mut().enumerate() {
-                if pos & (1 << c) != 0 {
-                    *mask |= 1u64 << bit;
-                }
-            }
-        }
-        Secded64 {
-            data_position,
-            position_to_data,
-            check_mask,
-        }
+    pub const fn new() -> Self {
+        Secded64(())
     }
 
     /// Encodes `data`, returning the 8 check bits.
@@ -91,17 +133,17 @@ impl Secded64 {
     /// `c0..c6` (covering positions with index bit `i` set); bit 7 is the
     /// overall SECDED parity over the 71-bit Hamming word.
     #[must_use]
+    #[inline]
     pub fn encode(&self, data: u64) -> u8 {
-        let mut check = 0u8;
-        for c in 0..7u32 {
-            if self.check_bit(data, c) {
-                check |= 1 << c;
-            }
-        }
-        if self.overall_parity(data, check) {
-            check |= 1 << 7;
-        }
-        check
+        let b = data.to_le_bytes();
+        ENCODE[0][b[0] as usize]
+            ^ ENCODE[1][b[1] as usize]
+            ^ ENCODE[2][b[2] as usize]
+            ^ ENCODE[3][b[3] as usize]
+            ^ ENCODE[4][b[4] as usize]
+            ^ ENCODE[5][b[5] as usize]
+            ^ ENCODE[6][b[6] as usize]
+            ^ ENCODE[7][b[7] as usize]
     }
 
     /// Decodes a `(data, check)` pair, correcting a single flipped bit.
@@ -112,16 +154,13 @@ impl Secded64 {
     /// errors.
     #[must_use]
     pub fn decode(&self, data: u64, check: u8) -> Decoded {
-        // Recompute Hamming checks; syndrome = stored XOR recomputed.
-        let mut syndrome = 0u32;
-        for c in 0..7u32 {
-            let recomputed = self.check_bit(data, c);
-            let stored = check & (1 << c) != 0;
-            if recomputed != stored {
-                syndrome |= 1 << c;
-            }
-        }
-        let overall_mismatch = self.overall_parity(data, check & 0x7F) != (check & (1 << 7) != 0);
+        // By linearity, recomputed XOR stored is the check byte of the
+        // error pattern: its low seven bits are the Hamming syndrome, and
+        // its weight's parity is the overall-parity mismatch (the stored
+        // overall bit against the parity of the received 71-bit word).
+        let diff = self.encode(data) ^ check;
+        let syndrome = u32::from(diff & 0x7F);
+        let overall_mismatch = diff.count_ones() % 2 == 1;
 
         match (syndrome, overall_mismatch) {
             (0, false) => Decoded::Clean { data },
@@ -146,12 +185,12 @@ impl Secded64 {
                         flipped: FlippedBit::Check(idx),
                     }
                 } else {
-                    match self.position_to_data[s as usize] {
-                        Some(bit) => Decoded::Corrected {
+                    match POSITION_TO_DATA[s as usize] {
+                        NO_DATA => Decoded::Uncorrectable,
+                        bit => Decoded::Corrected {
                             data: data ^ (1u64 << bit),
                             flipped: FlippedBit::Data(bit),
                         },
-                        None => Decoded::Uncorrectable,
                     }
                 }
             }
@@ -160,17 +199,6 @@ impl Secded64 {
                 Decoded::Uncorrectable
             }
         }
-    }
-
-    /// Hamming check bit `c`: parity of all data bits whose codeword
-    /// position has index bit `c` set.
-    fn check_bit(&self, data: u64, c: u32) -> bool {
-        (data & self.check_mask[c as usize]).count_ones() % 2 == 1
-    }
-
-    /// Parity over the 71-bit Hamming word (data bits + 7 check bits).
-    fn overall_parity(&self, data: u64, hamming_check: u8) -> bool {
-        (data.count_ones() + u32::from(hamming_check & 0x7F).count_ones()) % 2 == 1
     }
 }
 
@@ -375,5 +403,187 @@ mod tests {
     #[test]
     fn default_equals_new() {
         assert_eq!(Secded64::default(), Secded64::new());
+        assert_eq!(std::mem::size_of::<Secded64>(), 0);
+    }
+}
+
+/// The bit-serial encoder/decoder (one masked popcount per check bit):
+/// the reference the byte-sliced table is checked against.
+#[cfg(test)]
+mod reference {
+    use super::{DATA_BITS, TOP_POSITION};
+    use crate::{Decoded, FlippedBit};
+
+    /// `check_mask[c]` selects the data bits covered by Hamming check `c`.
+    pub struct BitSerial {
+        position_to_data: [Option<u8>; (TOP_POSITION + 1) as usize],
+        check_mask: [u64; 7],
+    }
+
+    impl BitSerial {
+        pub fn new() -> Self {
+            let mut data_position = [0u32; DATA_BITS as usize];
+            let mut position_to_data = [None; (TOP_POSITION + 1) as usize];
+            let mut next_data = 0usize;
+            for pos in 1..=TOP_POSITION {
+                if pos.is_power_of_two() {
+                    continue;
+                }
+                data_position[next_data] = pos;
+                position_to_data[pos as usize] = Some(next_data as u8);
+                next_data += 1;
+            }
+            let mut check_mask = [0u64; 7];
+            for (bit, &pos) in data_position.iter().enumerate() {
+                for (c, mask) in check_mask.iter_mut().enumerate() {
+                    if pos & (1 << c) != 0 {
+                        *mask |= 1u64 << bit;
+                    }
+                }
+            }
+            BitSerial {
+                position_to_data,
+                check_mask,
+            }
+        }
+
+        fn check_bit(&self, data: u64, c: u32) -> bool {
+            (data & self.check_mask[c as usize]).count_ones() % 2 == 1
+        }
+
+        fn overall_parity(data: u64, hamming_check: u8) -> bool {
+            (data.count_ones() + u32::from(hamming_check & 0x7F).count_ones()) % 2 == 1
+        }
+
+        pub fn encode(&self, data: u64) -> u8 {
+            let mut check = 0u8;
+            for c in 0..7u32 {
+                if self.check_bit(data, c) {
+                    check |= 1 << c;
+                }
+            }
+            if Self::overall_parity(data, check) {
+                check |= 1 << 7;
+            }
+            check
+        }
+
+        pub fn decode(&self, data: u64, check: u8) -> Decoded {
+            let mut syndrome = 0u32;
+            for c in 0..7u32 {
+                if self.check_bit(data, c) != (check & (1 << c) != 0) {
+                    syndrome |= 1 << c;
+                }
+            }
+            let overall_mismatch =
+                Self::overall_parity(data, check & 0x7F) != (check & (1 << 7) != 0);
+            match (syndrome, overall_mismatch) {
+                (0, false) => Decoded::Clean { data },
+                (0, true) => Decoded::Corrected {
+                    data,
+                    flipped: FlippedBit::Check(7),
+                },
+                (s, true) => {
+                    if s > TOP_POSITION {
+                        return Decoded::Uncorrectable;
+                    }
+                    if s.is_power_of_two() {
+                        Decoded::Corrected {
+                            data,
+                            flipped: FlippedBit::Check(s.trailing_zeros() as u8),
+                        }
+                    } else {
+                        match self.position_to_data[s as usize] {
+                            Some(bit) => Decoded::Corrected {
+                                data: data ^ (1u64 << bit),
+                                flipped: FlippedBit::Data(bit),
+                            },
+                            None => Decoded::Uncorrectable,
+                        }
+                    }
+                }
+                (_, false) => Decoded::Uncorrectable,
+            }
+        }
+    }
+}
+
+/// The byte-sliced table against the bit-serial reference.
+#[cfg(test)]
+mod equivalence {
+    use super::reference::BitSerial;
+    use super::Secded64;
+    use aep_rng::SmallRng;
+
+    /// Flips codeword bit `k` of `(data, check)`: `0..64` are data bits,
+    /// `64..72` the check byte's bits.
+    fn flip(data: u64, check: u8, k: u32) -> (u64, u8) {
+        if k < 64 {
+            (data ^ (1u64 << k), check)
+        } else {
+            (data, check ^ (1 << (k - 64)))
+        }
+    }
+
+    #[test]
+    fn every_single_byte_lane_word_encodes_like_the_reference() {
+        let (table, reference) = (Secded64::new(), BitSerial::new());
+        for lane in 0..8u32 {
+            for value in 0..256u64 {
+                let word = value << (8 * lane);
+                assert_eq!(
+                    table.encode(word),
+                    reference.encode(word),
+                    "lane {lane} value {value:#04x}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn every_one_hot_word_encodes_like_the_reference() {
+        let (table, reference) = (Secded64::new(), BitSerial::new());
+        for bit in 0..64 {
+            let word = 1u64 << bit;
+            assert_eq!(table.encode(word), reference.encode(word), "bit {bit}");
+        }
+    }
+
+    #[test]
+    fn a_million_seeded_words_encode_like_the_reference() {
+        let (table, reference) = (Secded64::new(), BitSerial::new());
+        let mut rng = SmallRng::seed_from_u64(0x5EC_DED);
+        for i in 0..1_000_000u32 {
+            let word = rng.next_u64();
+            assert_eq!(
+                table.encode(word),
+                reference.encode(word),
+                "word {i}: {word:#018x}"
+            );
+        }
+    }
+
+    #[test]
+    fn single_and_double_flips_decode_like_the_reference() {
+        let (table, reference) = (Secded64::new(), BitSerial::new());
+        let mut rng = SmallRng::seed_from_u64(2006);
+        for _ in 0..8 {
+            let data = rng.next_u64();
+            let check = reference.encode(data);
+            assert_eq!(table.decode(data, check), reference.decode(data, check));
+            let mut singles = 0;
+            let mut doubles = 0;
+            for i in 0..72 {
+                let (d, c) = flip(data, check, i);
+                assert_eq!(table.decode(d, c), reference.decode(d, c), "flip {i}");
+                singles += 1;
+                for j in (i + 1)..72 {
+                    let (d, c) = flip(d, c, j);
+                    assert_eq!(table.decode(d, c), reference.decode(d, c), "flips {i},{j}");
+                    doubles += 1;
+                }
+            }
+            assert_eq!((singles, doubles), (72, 2_556));
+        }
     }
 }

@@ -307,29 +307,30 @@ fn resolve_evict(
     if !dirty {
         return TrialOutcome::Masked;
     }
-    let mut buf = memory.read_line(strike.line);
+    let mut buf = vec![0; strike.snapshot.len()];
+    memory.read_line(strike.line, &mut buf);
     match scheme.verify_writeback(strike.set, strike.way, &mut buf) {
         RecoveryOutcome::Clean => {
             if memory.line_matches(strike.line, &strike.snapshot) {
                 TrialOutcome::Masked
             } else {
-                memory.write_line(strike.line, strike.snapshot.clone());
+                memory.write_line(strike.line, &strike.snapshot);
                 TrialOutcome::Sdc
             }
         }
         RecoveryOutcome::CorrectedByEcc { .. } => {
-            if buf == strike.snapshot {
-                memory.write_line(strike.line, buf);
+            if *buf == *strike.snapshot {
+                memory.write_line(strike.line, &buf);
                 TrialOutcome::Corrected
             } else {
                 // Miscorrected write-back: wrong data reached memory.
-                memory.write_line(strike.line, strike.snapshot.clone());
+                memory.write_line(strike.line, &strike.snapshot);
                 TrialOutcome::Sdc
             }
         }
         RecoveryOutcome::RecoveredByRefetch => TrialOutcome::RefetchRecovered,
         RecoveryOutcome::Unrecoverable => {
-            memory.write_line(strike.line, strike.snapshot.clone());
+            memory.write_line(strike.line, &strike.snapshot);
             TrialOutcome::Due
         }
     }
@@ -344,28 +345,29 @@ fn resolve_cleaned(
     scheme: &mut dyn ProtectionScheme,
     memory: &mut MainMemory,
 ) -> TrialOutcome {
-    let mut buf = memory.read_line(strike.line);
+    let mut buf = vec![0; strike.snapshot.len()];
+    memory.read_line(strike.line, &mut buf);
     let outcome = match scheme.verify_writeback(strike.set, strike.way, &mut buf) {
         RecoveryOutcome::Clean => {
             if memory.line_matches(strike.line, &strike.snapshot) {
                 TrialOutcome::Masked
             } else {
-                memory.write_line(strike.line, strike.snapshot.clone());
+                memory.write_line(strike.line, &strike.snapshot);
                 TrialOutcome::Sdc
             }
         }
         RecoveryOutcome::CorrectedByEcc { .. } => {
-            if buf == strike.snapshot {
-                memory.write_line(strike.line, buf);
+            if *buf == *strike.snapshot {
+                memory.write_line(strike.line, &buf);
                 TrialOutcome::Corrected
             } else {
-                memory.write_line(strike.line, strike.snapshot.clone());
+                memory.write_line(strike.line, &strike.snapshot);
                 TrialOutcome::Sdc
             }
         }
         RecoveryOutcome::RecoveredByRefetch => TrialOutcome::RefetchRecovered,
         RecoveryOutcome::Unrecoverable => {
-            memory.write_line(strike.line, strike.snapshot.clone());
+            memory.write_line(strike.line, &strike.snapshot);
             TrialOutcome::Due
         }
     };

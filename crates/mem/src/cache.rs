@@ -20,6 +20,10 @@ use crate::config::{AllocPolicy, CacheConfig, WritePolicy};
 use crate::stats::CacheStats;
 use crate::Cycle;
 
+/// Frames per page of a data-storing cache's payload arena (16 KB of
+/// 64-byte lines).
+const PAGE_FRAMES: usize = 256;
+
 /// What kind of access is being performed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AccessKind {
@@ -63,17 +67,22 @@ impl WbClass {
     }
 }
 
-/// A line displaced by a fill.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// A line displaced by a fill or written back by a cleaning probe.
+///
+/// The line's words are not copied into the record: a cleaned line stays
+/// resident, so its data is [`Cache::line_data`] of its way, and a
+/// displaced line's data is [`Cache::victim_data`] until the next
+/// install.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EvictedLine {
-    /// The displaced line's address.
+    /// The line's address.
     pub line: LineAddr,
+    /// The way it occupied (a displaced line) or occupies (a cleaned one).
+    pub way: usize,
     /// Whether it was dirty (and therefore needs a write-back).
     pub dirty: bool,
     /// Its written bit at eviction time.
     pub written: bool,
-    /// The line's data words, when the cache stores data.
-    pub data: Option<Box<[u64]>>,
 }
 
 /// Result of a [`Cache::lookup`].
@@ -220,8 +229,8 @@ pub enum L2Event {
 /// let mut c = Cache::new(CacheConfig::tiny_l2());
 /// let line = LineAddr(0x40);
 /// assert!(!c.lookup(line, AccessKind::Read, 0).is_hit());
-/// let data = vec![0u64; c.config().words_per_line()].into_boxed_slice();
-/// c.install(line, false, 0, Some(data));
+/// let data = vec![0u64; c.config().words_per_line()];
+/// c.install(line, false, 0, Some(&data));
 /// assert!(c.lookup(line, AccessKind::Read, 1).is_hit());
 /// ```
 #[derive(Debug, Clone)]
@@ -246,7 +255,18 @@ pub struct Cache {
     // between its last two writes (0 = at most one write since fill).
     last_write: Vec<Cycle>,
     write_gap: Vec<u64>,
-    data: Vec<Option<Box<[u64]>>>,
+    // Line payloads of a data-storing cache (empty otherwise): an arena
+    // of `words` words per frame, laid out by `frame` and allocated in
+    // pages of `PAGE_FRAMES` frames on first write, so frames no fill
+    // has reached cost no memory.
+    words: usize,
+    pages: Vec<Option<Box<[u64]>>>,
+    // What a frame of a never-written page reads as.
+    zero_line: Box<[u64]>,
+    // The payload of the line the latest `install` displaced.
+    victim: Vec<u64>,
+    // The lines the latest cleaning probe wrote back (a reused buffer).
+    cleaned: Vec<EvictedLine>,
     tick: u64,
     dirty_lines: u64,
     silent_write_hits: u64,
@@ -271,6 +291,11 @@ impl Cache {
         let sets = config.sets();
         let ways = config.ways as usize;
         let slots = (sets as usize) * ways;
+        let words = if config.store_data {
+            config.words_per_line()
+        } else {
+            0
+        };
         Cache {
             tags: vec![0; slots],
             valid: vec![false; slots],
@@ -280,7 +305,18 @@ impl Cache {
             last_access: vec![0; slots],
             last_write: vec![0; slots],
             write_gap: vec![0; slots],
-            data: (0..slots).map(|_| None).collect(),
+            words,
+            pages: vec![
+                None;
+                if words == 0 {
+                    0
+                } else {
+                    slots.div_ceil(PAGE_FRAMES)
+                }
+            ],
+            zero_line: vec![0; words].into_boxed_slice(),
+            victim: vec![0; words],
+            cleaned: Vec::with_capacity(ways),
             sets,
             ways,
             config,
@@ -417,6 +453,34 @@ impl Cache {
         set * self.ways + way
     }
 
+    /// The arena page of (`set`, `way`) and its words within the page.
+    /// The arena is way-major — one way of every set, then the next — so
+    /// a workload that fills few ways per set touches few pages.
+    fn frame(&self, set: usize, way: usize) -> (usize, std::ops::Range<usize>) {
+        let frame = way * self.sets as usize + set;
+        let at = frame % PAGE_FRAMES * self.words;
+        (frame / PAGE_FRAMES, at..at + self.words)
+    }
+
+    /// The payload words of (`set`, `way`).
+    fn frame_data(&self, set: usize, way: usize) -> &[u64] {
+        let (page, range) = self.frame(set, way);
+        match &self.pages[page] {
+            Some(words) => &words[range],
+            None => &self.zero_line,
+        }
+    }
+
+    /// The payload words of (`set`, `way`), allocating its page on first
+    /// write.
+    fn frame_data_mut(&mut self, set: usize, way: usize) -> &mut [u64] {
+        let (page, range) = self.frame(set, way);
+        // The last page holds only the frames that remain.
+        let frames = PAGE_FRAMES.min(self.valid.len() - page * PAGE_FRAMES);
+        let len = frames * self.words;
+        &mut self.pages[page].get_or_insert_with(|| vec![0; len].into_boxed_slice())[range]
+    }
+
     /// Records one write's contribution to the slot's reuse history: the
     /// gap between this write and the previous one becomes the predictor
     /// sample, and the write timestamp advances.
@@ -506,32 +570,30 @@ impl Cache {
     ///
     /// `write` marks a write-allocate fill: the line is installed dirty
     /// (modified once; written bit stays clear). `data` supplies the line's
-    /// payload when the cache stores data.
+    /// payload when the cache stores data; it is copied into the frame.
+    /// A displaced valid line is returned in the outcome, and its payload
+    /// stays readable through [`Cache::victim_data`] until the next
+    /// install.
     ///
     /// # Panics
     ///
     /// Panics if `data` presence disagrees with the `store_data`
-    /// configuration. A double install (line already resident) panics in
-    /// debug builds only; release builds rely on the differential checker
-    /// (`aep-check`), whose golden model reports it as a violation.
+    /// configuration, or if `line` is already resident (a double install),
+    /// in debug and release builds alike.
     pub fn install(
         &mut self,
         line: LineAddr,
         write: bool,
         now: Cycle,
-        data: Option<Box<[u64]>>,
+        data: Option<&[u64]>,
     ) -> AccessOutcome {
         assert_eq!(
             data.is_some(),
             self.config.store_data,
             "fill data must match the store_data configuration"
         );
-        if let Some(d) = &data {
-            assert_eq!(
-                d.len(),
-                self.config.words_per_line(),
-                "fill data must be one full line"
-            );
+        if let Some(d) = data {
+            assert_eq!(d.len(), self.words, "fill data must be one full line");
         }
         let set = line.set_index(self.sets);
         let tag = line.tag(self.sets);
@@ -539,36 +601,44 @@ impl Cache {
         let tick = self.tick;
 
         // Choose a victim: first invalid way, else least-recently used.
-        // Like the lookup probe, this scans only the valid and lru lanes.
+        // The scan reads every way's tag, so the already-resident check
+        // costs one compare per way.
         let base = self.slot(set, 0);
-        let mut victim = 0usize;
+        let mut invalid = None;
+        let mut lru_way = 0usize;
         let mut best_lru = u64::MAX;
-        let mut found_invalid = false;
         for way in 0..self.ways {
             let slot = base + way;
             if !self.valid[slot] {
-                victim = way;
-                found_invalid = true;
-                break;
+                invalid = invalid.or(Some(way));
+                continue;
             }
-            debug_assert!(
+            assert!(
                 self.tags[slot] != tag,
                 "install of an already-resident line {line}"
             );
             if self.lru[slot] < best_lru {
                 best_lru = self.lru[slot];
-                victim = way;
+                lru_way = way;
             }
         }
 
+        let victim = invalid.unwrap_or(lru_way);
         let slot = base + victim;
-        let evicted = if !found_invalid {
+        let evicted = if invalid.is_none() {
             let ev = EvictedLine {
                 line: LineAddr::from_tag_set(self.tags[slot], set, self.sets),
+                way: victim,
                 dirty: self.dirty[slot],
                 written: self.written[slot],
-                data: self.data[slot].take(),
             };
+            if self.config.store_data {
+                let (page, range) = self.frame(set, victim);
+                match &self.pages[page] {
+                    Some(words) => self.victim.copy_from_slice(&words[range]),
+                    None => self.victim.fill(0),
+                }
+            }
             if ev.dirty {
                 self.dirty_lines -= 1;
                 self.stats.writebacks_replacement += 1;
@@ -597,7 +667,9 @@ impl Cache {
         self.last_access[slot] = now;
         self.last_write[slot] = now;
         self.write_gap[slot] = 0;
-        self.data[slot] = data;
+        if let Some(d) = data {
+            self.frame_data_mut(set, victim).copy_from_slice(d);
+        }
         if dirty {
             self.dirty_lines += 1;
             self.lifetime_dirty(slot, now);
@@ -615,13 +687,21 @@ impl Cache {
         }
     }
 
+    /// The payload of the line displaced by the latest [`Cache::install`]
+    /// (`None` when the cache stores no data). Valid until the next
+    /// install.
+    #[must_use]
+    pub fn victim_data(&self) -> Option<&[u64]> {
+        self.config.store_data.then_some(&*self.victim)
+    }
+
     /// The paper's cleaning-FSM action on one set: every valid line with
     /// `dirty && !written` is written back and marked clean; every other
     /// valid line has its written bit reset.
     ///
-    /// Returns the cleaned lines (with data, when stored) so the caller can
-    /// put the write-backs on the bus.
-    pub fn clean_probe(&mut self, set: usize, now: Cycle) -> Vec<EvictedLine> {
+    /// Returns the cleaned lines so the caller can put the write-backs on
+    /// the bus; they stay resident, so their data is [`Cache::line_data`].
+    pub fn clean_probe(&mut self, set: usize, now: Cycle) -> &[EvictedLine] {
         self.clean_probe_mode(set, now, true)
     }
 
@@ -635,9 +715,9 @@ impl Cache {
         set: usize,
         now: Cycle,
         respect_written: bool,
-    ) -> Vec<EvictedLine> {
+    ) -> &[EvictedLine] {
         debug_assert!(set < self.sets as usize, "set index out of range");
-        let mut cleaned = Vec::new();
+        self.cleaned.clear();
         for way in 0..self.ways {
             let slot = self.slot(set, way);
             if !self.valid[slot] {
@@ -646,7 +726,6 @@ impl Cache {
             if self.dirty[slot] && (!self.written[slot] || !respect_written) {
                 self.dirty[slot] = false;
                 let line = LineAddr::from_tag_set(self.tags[slot], set, self.sets);
-                let data = self.data[slot].clone();
                 let written = self.written[slot];
                 self.dirty_lines -= 1;
                 self.lifetime_clean(slot, now);
@@ -657,17 +736,25 @@ impl Cache {
                     line,
                     class: WbClass::Cleaning,
                 });
-                cleaned.push(EvictedLine {
+                self.cleaned.push(EvictedLine {
                     line,
+                    way,
                     dirty: true,
                     written,
-                    data,
                 });
             } else {
                 self.written[slot] = false;
             }
         }
-        cleaned
+        &self.cleaned
+    }
+
+    /// The lines the latest cleaning probe ([`Cache::clean_probe_mode`],
+    /// [`Cache::reuse_probe`] or [`Cache::decay_probe`]) wrote back: the
+    /// slice that probe returned.
+    #[must_use]
+    pub fn last_cleaned(&self) -> &[EvictedLine] {
+        &self.cleaned
     }
 
     /// Registers a store whose bytes matched the resident line exactly
@@ -718,9 +805,9 @@ impl Cache {
         now: Cycle,
         multiplier: u32,
         fallback_gap: u64,
-    ) -> Vec<EvictedLine> {
+    ) -> &[EvictedLine] {
         debug_assert!(set < self.sets as usize, "set index out of range");
-        let mut cleaned = Vec::new();
+        self.cleaned.clear();
         for way in 0..self.ways {
             let slot = self.slot(set, way);
             if !self.valid[slot] || !self.dirty[slot] {
@@ -740,7 +827,6 @@ impl Cache {
             }
             self.dirty[slot] = false;
             let line = LineAddr::from_tag_set(self.tags[slot], set, self.sets);
-            let data = self.data[slot].clone();
             self.dirty_lines -= 1;
             self.lifetime_clean(slot, now);
             self.stats.writebacks_cleaning += 1;
@@ -750,23 +836,23 @@ impl Cache {
                 line,
                 class: WbClass::Cleaning,
             });
-            cleaned.push(EvictedLine {
+            self.cleaned.push(EvictedLine {
                 line,
+                way,
                 dirty: true,
                 written: false,
-                data,
             });
         }
-        cleaned
+        &self.cleaned
     }
 
     /// Decay-based cleaning (Kaxiras-style): writes back every dirty line
     /// in `set` that has not been accessed for at least `decay_window`
     /// cycles. An alternative to the paper's written-bit probe, compared
     /// in the `exp cleaners` ablation.
-    pub fn decay_probe(&mut self, set: usize, now: Cycle, decay_window: u64) -> Vec<EvictedLine> {
+    pub fn decay_probe(&mut self, set: usize, now: Cycle, decay_window: u64) -> &[EvictedLine] {
         debug_assert!(set < self.sets as usize, "set index out of range");
-        let mut cleaned = Vec::new();
+        self.cleaned.clear();
         for way in 0..self.ways {
             let slot = self.slot(set, way);
             if !self.valid[slot] || !self.dirty[slot] {
@@ -776,7 +862,6 @@ impl Cache {
                 self.dirty[slot] = false;
                 self.written[slot] = false;
                 let line = LineAddr::from_tag_set(self.tags[slot], set, self.sets);
-                let data = self.data[slot].clone();
                 self.dirty_lines -= 1;
                 self.lifetime_clean(slot, now);
                 self.stats.writebacks_cleaning += 1;
@@ -786,20 +871,20 @@ impl Cache {
                     line,
                     class: WbClass::Cleaning,
                 });
-                cleaned.push(EvictedLine {
+                self.cleaned.push(EvictedLine {
                     line,
+                    way,
                     dirty: true,
                     written: false,
-                    data,
                 });
             }
         }
-        cleaned
+        &self.cleaned
     }
 
     /// Eager writeback (Lee et al.): if the set's LRU way is dirty, write
     /// it back and mark it clean (called when the bus is idle). Returns
-    /// the cleaned line, if any.
+    /// the cleaned line, if any; it stays resident.
     pub fn eager_probe(&mut self, set: usize, now: Cycle) -> Option<EvictedLine> {
         debug_assert!(set < self.sets as usize, "set index out of range");
         // Find the LRU valid way.
@@ -820,7 +905,6 @@ impl Cache {
         self.dirty[slot] = false;
         self.written[slot] = false;
         let line = LineAddr::from_tag_set(self.tags[slot], set, self.sets);
-        let data = self.data[slot].clone();
         self.dirty_lines -= 1;
         self.lifetime_clean(slot, now);
         self.stats.writebacks_cleaning += 1;
@@ -832,15 +916,15 @@ impl Cache {
         });
         Some(EvictedLine {
             line,
+            way,
             dirty: true,
             written: false,
-            data,
         })
     }
 
     /// Forcibly writes back and cleans one dirty line (the proposed
-    /// scheme's ECC-entry eviction). Returns the line for the bus, or
-    /// `None` when the way is not a valid dirty line.
+    /// scheme's ECC-entry eviction). Returns the line for the bus (it
+    /// stays resident), or `None` when the way is not a valid dirty line.
     pub fn force_clean(
         &mut self,
         set: usize,
@@ -855,7 +939,6 @@ impl Cache {
         self.dirty[slot] = false;
         self.written[slot] = false;
         let line = LineAddr::from_tag_set(self.tags[slot], set, self.sets);
-        let data = self.data[slot].clone();
         self.dirty_lines -= 1;
         self.lifetime_clean(slot, now);
         self.stats.count_writeback(class);
@@ -867,9 +950,9 @@ impl Cache {
         });
         Some(EvictedLine {
             line,
+            way,
             dirty: true,
             written: false,
-            data,
         })
     }
 
@@ -910,10 +993,11 @@ impl Cache {
     pub fn write_word(&mut self, set: usize, way: usize, word: usize, value: u64) {
         let slot = self.slot(set, way);
         debug_assert!(self.valid[slot], "write_word on an invalid line");
-        let data = self.data[slot]
-            .as_mut()
-            .expect("write_word requires a data-storing cache");
-        data[word] = value;
+        assert!(
+            self.config.store_data,
+            "write_word requires a data-storing cache"
+        );
+        self.frame_data_mut(set, way)[word] = value;
         if self.emit_word_events {
             self.emit(L2Event::WordWritten {
                 set,
@@ -924,10 +1008,11 @@ impl Cache {
         }
     }
 
-    /// Read-only view of a resident line's data words, if stored.
+    /// Read-only view of a way's data words, when the cache stores data
+    /// (an invalid way holds whatever its frame last held).
     #[must_use]
     pub fn line_data(&self, set: usize, way: usize) -> Option<&[u64]> {
-        self.data[self.slot(set, way)].as_deref()
+        self.config.store_data.then(|| self.frame_data(set, way))
     }
 
     /// Flips one bit of a resident line's stored data — a soft-error strike.
@@ -940,10 +1025,11 @@ impl Cache {
         assert!(bit < 64, "bit index out of range");
         let slot = self.slot(set, way);
         assert!(self.valid[slot], "strike on an invalid line");
-        let data = self.data[slot]
-            .as_mut()
-            .expect("strike requires a data-storing cache");
-        data[word] ^= 1u64 << bit;
+        assert!(
+            self.config.store_data,
+            "strike requires a data-storing cache"
+        );
+        self.frame_data_mut(set, way)[word] ^= 1u64 << bit;
     }
 
     /// Recomputes the dirty count from scratch (test/diagnostic cross-check
@@ -985,8 +1071,8 @@ impl Cache {
 mod tests {
     use super::*;
 
-    fn data(words: usize, seed: u64) -> Option<Box<[u64]>> {
-        Some((0..words as u64).map(|i| seed ^ i).collect())
+    fn data(words: usize, seed: u64) -> Vec<u64> {
+        (0..words as u64).map(|i| seed ^ i).collect()
     }
 
     fn tiny() -> Cache {
@@ -1006,7 +1092,7 @@ mod tests {
         let mut c = tiny();
         let line = LineAddr(5);
         assert_eq!(c.lookup(line, AccessKind::Read, 0), Lookup::Miss { set: 5 });
-        c.install(line, false, 0, data(8, 1));
+        c.install(line, false, 0, Some(&data(8, 1)));
         assert!(c.lookup(line, AccessKind::Read, 1).is_hit());
         assert_eq!(c.stats().read_hits, 1);
         assert_eq!(c.stats().read_misses, 1);
@@ -1017,7 +1103,7 @@ mod tests {
         let mut c = tiny();
         let line = LineAddr(3);
         c.lookup(line, AccessKind::Write, 0);
-        c.install(line, false, 0, data(8, 2)); // fill from a read-style install
+        c.install(line, false, 0, Some(&data(8, 2))); // fill from a read-style install
         match c.lookup(line, AccessKind::Write, 1) {
             Lookup::Hit {
                 first_write,
@@ -1048,7 +1134,7 @@ mod tests {
     #[test]
     fn write_allocate_fill_is_dirty_but_not_written() {
         let mut c = tiny();
-        let out = c.install(LineAddr(7), true, 0, data(8, 3));
+        let out = c.install(LineAddr(7), true, 0, Some(&data(8, 3)));
         let v = c.line_view(out.set, out.way);
         assert!(v.dirty && !v.written);
         assert_eq!(c.dirty_line_count(), 1);
@@ -1061,7 +1147,7 @@ mod tests {
         for i in 0..4u64 {
             let line = LineAddr(i * 16);
             c.lookup(line, AccessKind::Read, i);
-            c.install(line, false, i, data(8, i));
+            c.install(line, false, i, Some(&data(8, i)));
         }
         // Touch lines 0,1,3 — line 2*16 becomes LRU.
         for i in [0u64, 1, 3] {
@@ -1069,7 +1155,7 @@ mod tests {
                 .lookup(LineAddr(i * 16), AccessKind::Read, 10 + i)
                 .is_hit());
         }
-        let out = c.install(LineAddr(4 * 16), false, 20, data(8, 9));
+        let out = c.install(LineAddr(4 * 16), false, 20, Some(&data(8, 9)));
         let ev = out.evicted.expect("a line must be displaced");
         assert_eq!(ev.line, LineAddr(2 * 16));
     }
@@ -1080,7 +1166,7 @@ mod tests {
         for i in 0..5u64 {
             let line = LineAddr(i * 16);
             c.lookup(line, AccessKind::Write, i);
-            c.install(line, true, i, data(8, i));
+            c.install(line, true, i, Some(&data(8, i)));
         }
         assert_eq!(c.stats().writebacks_replacement, 1);
         assert_eq!(c.stats().evictions, 1);
@@ -1097,7 +1183,7 @@ mod tests {
         let mut c = tiny();
         let line = LineAddr(9);
         c.lookup(line, AccessKind::Write, 0);
-        let out = c.install(line, true, 0, data(8, 0xDEAD));
+        let out = c.install(line, true, 0, Some(&data(8, 0xDEAD)));
         // Overwrite individual words after the fill, as store retirement does.
         c.write_word(out.set, out.way, 0, 0x1111);
         c.write_word(out.set, out.way, 7, 0x7777);
@@ -1109,12 +1195,12 @@ mod tests {
         for k in 1..=4u64 {
             let filler = LineAddr(9 + 16 * k);
             c.lookup(filler, AccessKind::Read, k);
-            let fill_out = c.install(filler, false, k, data(8, k));
+            let fill_out = c.install(filler, false, k, Some(&data(8, k)));
             if let Some(ev) = fill_out.evicted {
                 assert_eq!(ev.line, line, "LRU victim is the dirty line");
                 assert!(ev.dirty);
                 assert_eq!(
-                    &*ev.data.expect("store_data caches hand data back"),
+                    c.victim_data().expect("store_data caches hand data back"),
                     expected.as_slice()
                 );
                 return;
@@ -1128,14 +1214,14 @@ mod tests {
         let mut c = tiny();
         // Way A: dirty, not written (written-once, now idle) -> cleaned.
         let a = LineAddr(0);
-        c.install(a, true, 0, data(8, 1));
+        c.install(a, true, 0, Some(&data(8, 1)));
         // Way B: dirty and written (recently re-written) -> written reset only.
         let b = LineAddr(16);
-        c.install(b, true, 0, data(8, 2));
+        c.install(b, true, 0, Some(&data(8, 2)));
         c.lookup(b, AccessKind::Write, 1); // sets written
                                            // Way C: clean -> untouched.
         let cc = LineAddr(32);
-        c.install(cc, false, 0, data(8, 3));
+        c.install(cc, false, 0, Some(&data(8, 3)));
 
         assert_eq!(c.dirty_line_count(), 2);
         let cleaned = c.clean_probe(0, 100);
@@ -1157,7 +1243,7 @@ mod tests {
         cfg.track_written = false;
         let mut c = Cache::new(cfg);
         let line = LineAddr(1);
-        c.install(line, true, 0, data(8, 1));
+        c.install(line, true, 0, Some(&data(8, 1)));
         c.lookup(line, AccessKind::Write, 1);
         let (set, way) = c.peek(line).unwrap();
         assert!(!c.line_view(set, way).written);
@@ -1167,7 +1253,7 @@ mod tests {
     fn force_clean_cleans_exactly_one_line() {
         let mut c = tiny();
         let line = LineAddr(2);
-        c.install(line, true, 0, data(8, 5));
+        c.install(line, true, 0, Some(&data(8, 5)));
         let (set, way) = c.peek(line).unwrap();
         let ev = c.force_clean(set, way, 1, WbClass::EccEviction).unwrap();
         assert_eq!(ev.line, line);
@@ -1183,7 +1269,7 @@ mod tests {
         c.set_event_emission(true);
         let line = LineAddr(4);
         c.lookup(line, AccessKind::Write, 0);
-        c.install(line, true, 0, data(8, 1));
+        c.install(line, true, 0, Some(&data(8, 1)));
         c.lookup(line, AccessKind::Read, 1);
         c.lookup(line, AccessKind::Write, 2);
         let events = c.take_events();
@@ -1204,7 +1290,7 @@ mod tests {
     fn write_word_and_strike_mutate_data() {
         let mut c = tiny();
         let line = LineAddr(6);
-        c.install(line, false, 0, data(8, 0));
+        c.install(line, false, 0, Some(&data(8, 0)));
         let (set, way) = c.peek(line).unwrap();
         c.write_word(set, way, 3, 0xFFFF);
         assert_eq!(c.line_data(set, way).unwrap()[3], 0xFFFF);
@@ -1212,15 +1298,14 @@ mod tests {
         assert_eq!(c.line_data(set, way).unwrap()[3], 0xFFFE);
     }
 
-    // Hot-loop integrity checks are debug_assert!s: free in release, where
-    // the aep-check golden model is the independent backstop. Tests run
-    // with debug assertions on, so the panic contract still holds here.
+    // Always-on: the victim scan already reads every way's tag, so the
+    // contract holds in release builds too.
     #[test]
     #[should_panic(expected = "already-resident")]
     fn double_install_panics() {
         let mut c = tiny();
-        c.install(LineAddr(1), false, 0, data(8, 0));
-        c.install(LineAddr(1), false, 1, data(8, 0));
+        c.install(LineAddr(1), false, 0, Some(&data(8, 0)));
+        c.install(LineAddr(1), false, 1, Some(&data(8, 0)));
     }
 
     #[test]
@@ -1228,7 +1313,7 @@ mod tests {
         let mut c = tiny();
         c.set_event_emission(true);
         let line = LineAddr(11);
-        let out = c.install(line, true, 0, data(8, 0));
+        let out = c.install(line, true, 0, Some(&data(8, 0)));
         c.write_word(out.set, out.way, 2, 0xAB);
         assert!(
             !c.take_events()
@@ -1254,13 +1339,13 @@ mod tests {
     fn evicted_line_carries_its_data() {
         let mut c = tiny();
         for i in 0..4u64 {
-            c.install(LineAddr(i * 16), i == 0, i, data(8, 100 + i));
+            c.install(LineAddr(i * 16), i == 0, i, Some(&data(8, 100 + i)));
         }
-        let out = c.install(LineAddr(4 * 16), false, 10, data(8, 999));
+        let out = c.install(LineAddr(4 * 16), false, 10, Some(&data(8, 999)));
         let ev = out.evicted.unwrap();
         assert_eq!(ev.line, LineAddr(0));
         assert!(ev.dirty);
-        assert_eq!(ev.data.as_deref().unwrap()[0], 100);
+        assert_eq!(c.victim_data().unwrap()[0], 100);
     }
 }
 
@@ -1272,10 +1357,10 @@ mod ablation_tests {
     #[test]
     fn aggressive_probe_ignores_the_written_bit() {
         let mut c = Cache::new(CacheConfig::tiny_l2());
-        let data: Box<[u64]> = vec![1; 8].into();
+        let data = vec![1u64; 8];
         // A dirty line that was just re-written (written = 1).
         let line = LineAddr(0);
-        c.install(line, true, 0, Some(data));
+        c.install(line, true, 0, Some(&data));
         c.lookup(line, AccessKind::Write, 1);
         let (set, way) = c.peek(line).unwrap();
         assert!(c.line_view(set, way).written);
@@ -1296,7 +1381,7 @@ mod ablation_tests {
         let mut a = Cache::new(CacheConfig::tiny_l2());
         let mut b = Cache::new(CacheConfig::tiny_l2());
         for c in [&mut a, &mut b] {
-            c.install(LineAddr(1), true, 0, Some(vec![2; 8].into()));
+            c.install(LineAddr(1), true, 0, Some(&[2; 8]));
         }
         let set = LineAddr(1).set_index(16);
         assert_eq!(
@@ -1311,8 +1396,8 @@ mod silent_and_reuse_tests {
     use super::*;
     use crate::config::CacheConfig;
 
-    fn data(seed: u64) -> Option<Box<[u64]>> {
-        Some((0..8u64).map(|i| seed ^ i).collect())
+    fn data(seed: u64) -> Vec<u64> {
+        (0..8u64).map(|i| seed ^ i).collect()
     }
 
     #[test]
@@ -1320,7 +1405,7 @@ mod silent_and_reuse_tests {
         let mut c = Cache::new(CacheConfig::tiny_l2());
         c.set_event_emission(true);
         let line = LineAddr(4);
-        c.install(line, false, 0, data(7)); // clean read fill
+        c.install(line, false, 0, Some(&data(7))); // clean read fill
         let (set, way) = c.peek(line).unwrap();
         let _ = c.take_events();
 
@@ -1346,7 +1431,7 @@ mod silent_and_reuse_tests {
 
         // On an already-dirty line, dirty stays set and written stays clear.
         let dirty_line = LineAddr(5);
-        c.install(dirty_line, true, 20, data(9));
+        c.install(dirty_line, true, 20, Some(&data(9)));
         let (ds, dw) = c.peek(dirty_line).unwrap();
         c.silent_write_hit(ds, dw, 30);
         let v = c.line_view(ds, dw);
@@ -1358,12 +1443,12 @@ mod silent_and_reuse_tests {
     fn silent_write_hit_refreshes_replacement_state() {
         let mut c = Cache::new(CacheConfig::tiny_l2());
         for i in 0..4u64 {
-            c.install(LineAddr(i * 16), false, i, data(i));
+            c.install(LineAddr(i * 16), false, i, Some(&data(i)));
         }
         // Silently re-store line 0 — it becomes MRU; line 16 becomes LRU.
         let (set, way) = c.peek(LineAddr(0)).unwrap();
         c.silent_write_hit(set, way, 10);
-        let out = c.install(LineAddr(4 * 16), false, 20, data(99));
+        let out = c.install(LineAddr(4 * 16), false, 20, Some(&data(99)));
         assert_eq!(out.evicted.unwrap().line, LineAddr(16));
     }
 
@@ -1374,16 +1459,16 @@ mod silent_and_reuse_tests {
         // t=1000 with multiplier 4 its threshold is 400 < 900 idle, but
         // the second write set `written` — first probe only resets it.
         let a = LineAddr(0);
-        c.install(a, true, 0, data(1));
+        c.install(a, true, 0, Some(&data(1)));
         c.lookup(a, AccessKind::Write, 100);
         // Way B: single write at t=0 (no gap on record): fallback gap 200
         // × 4 = 800 ≤ 1000 idle — predicted dead, cleaned.
         let b = LineAddr(16);
-        c.install(b, true, 0, data(2));
+        c.install(b, true, 0, Some(&data(2)));
         // Way C: written at t=0 and t=950 (gap 950): threshold 3800,
         // idle 50 — alive, spared (written reset only).
         let cc = LineAddr(32);
-        c.install(cc, true, 0, data(3));
+        c.install(cc, true, 0, Some(&data(3)));
         c.lookup(cc, AccessKind::Write, 950);
 
         let cleaned = c.reuse_probe(0, 1_000, 4, 200);
@@ -1406,7 +1491,7 @@ mod silent_and_reuse_tests {
     fn reuse_probe_spares_recently_written_lines() {
         let mut c = Cache::new(CacheConfig::tiny_l2());
         let line = LineAddr(2);
-        c.install(line, true, 0, data(4));
+        c.install(line, true, 0, Some(&data(4)));
         // Idle 100 < fallback 200 × 4: nothing happens.
         assert!(c.reuse_probe(2, 100, 4, 200).is_empty());
         assert_eq!(c.dirty_line_count(), 1);
@@ -1418,17 +1503,17 @@ mod alt_cleaning_tests {
     use super::*;
     use crate::config::CacheConfig;
 
-    fn data() -> Option<Box<[u64]>> {
-        Some(vec![3u64; 8].into())
+    fn data() -> Vec<u64> {
+        vec![3u64; 8]
     }
 
     #[test]
     fn decay_probe_cleans_only_idle_dirty_lines() {
         let mut c = Cache::new(CacheConfig::tiny_l2());
         // Dirty at t=0, touched again at t=900.
-        c.install(LineAddr(0), true, 0, data());
+        c.install(LineAddr(0), true, 0, Some(&data()));
         // Dirty at t=0, never touched again.
-        c.install(LineAddr(16), true, 0, data());
+        c.install(LineAddr(16), true, 0, Some(&data()));
         c.lookup(LineAddr(0), AccessKind::Read, 900);
 
         let cleaned = c.decay_probe(0, 1_000, 500);
@@ -1444,8 +1529,8 @@ mod alt_cleaning_tests {
     #[test]
     fn decay_probe_with_zero_window_cleans_everything_dirty() {
         let mut c = Cache::new(CacheConfig::tiny_l2());
-        c.install(LineAddr(1), true, 0, data());
-        c.install(LineAddr(17), true, 0, data());
+        c.install(LineAddr(1), true, 0, Some(&data()));
+        c.install(LineAddr(17), true, 0, Some(&data()));
         let cleaned = c.decay_probe(1, 0, 0);
         assert_eq!(cleaned.len(), 2);
         assert_eq!(c.dirty_line_count(), 0);
@@ -1454,8 +1539,8 @@ mod alt_cleaning_tests {
     #[test]
     fn eager_probe_cleans_the_lru_dirty_way() {
         let mut c = Cache::new(CacheConfig::tiny_l2());
-        c.install(LineAddr(2), true, 0, data()); // oldest
-        c.install(LineAddr(18), true, 1, data());
+        c.install(LineAddr(2), true, 0, Some(&data())); // oldest
+        c.install(LineAddr(18), true, 1, Some(&data()));
         let ev = c.eager_probe(2, 10).expect("LRU way is dirty");
         assert_eq!(ev.line, LineAddr(2));
         // The LRU way is now clean; a second probe finds it clean.
@@ -1466,8 +1551,8 @@ mod alt_cleaning_tests {
     #[test]
     fn eager_probe_skips_clean_lru() {
         let mut c = Cache::new(CacheConfig::tiny_l2());
-        c.install(LineAddr(3), false, 0, data()); // clean LRU
-        c.install(LineAddr(19), true, 1, data()); // dirty MRU
+        c.install(LineAddr(3), false, 0, Some(&data())); // clean LRU
+        c.install(LineAddr(19), true, 1, Some(&data())); // dirty MRU
         assert!(c.eager_probe(3, 10).is_none());
         assert_eq!(c.dirty_line_count(), 1);
     }

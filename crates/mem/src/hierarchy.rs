@@ -16,7 +16,7 @@
 
 use crate::addr::Addr;
 use crate::bus::{Bus, BusStats};
-use crate::cache::{AccessKind, Cache, EvictedLine, L2Event, Lookup, WbClass};
+use crate::cache::{AccessKind, Cache, L2Event, Lookup, WbClass};
 use crate::config::HierarchyConfig;
 use crate::memory::{mix64, MainMemory};
 use crate::write_buffer::{PushOutcome, WriteBuffer, WriteBufferStats};
@@ -80,6 +80,11 @@ pub struct MemoryHierarchy {
     store_values: StoreValueModel,
     silent_elision: bool,
     silent_fills: u64,
+    /// One L2 line of scratch: the fill being assembled from memory.
+    fill_buf: Vec<u64>,
+    /// One L2 line of scratch: the payload of the retiring write-buffer
+    /// entry.
+    store_buf: Vec<u64>,
 }
 
 impl MemoryHierarchy {
@@ -107,6 +112,8 @@ impl MemoryHierarchy {
             store_values: StoreValueModel::default(),
             silent_elision: false,
             silent_fills: 0,
+            fill_buf: vec![0; l2_words],
+            store_buf: vec![0; l2_words],
             cfg,
         }
     }
@@ -236,18 +243,23 @@ impl MemoryHierarchy {
     /// Retires the oldest write-buffer entry into the L2. Returns the
     /// completion cycle (equals `now` when the buffer was empty).
     fn retire_one(&mut self, now: Cycle) -> Cycle {
-        match self.wb.pop() {
+        // Taking the scratch line out of `self` (no allocation: the
+        // placeholder is an empty Vec) lends it to `l2_access`.
+        let mut words = std::mem::take(&mut self.store_buf);
+        let done = match self.wb.pop(&mut words) {
             Some(entry) => {
                 let base = entry.line.base(self.cfg.l2.line_bytes);
                 self.l2_access(
                     base,
                     AccessKind::Write,
                     now,
-                    Some((entry.word_mask, entry.words)),
+                    Some((entry.word_mask, &words)),
                 )
             }
             None => now,
-        }
+        };
+        self.store_buf = words;
+        done
     }
 
     /// One access at the L2 level (from an L1 miss, a write-buffer
@@ -257,7 +269,7 @@ impl MemoryHierarchy {
         addr: Addr,
         kind: AccessKind,
         now: Cycle,
-        store: Option<(u64, Box<[u64]>)>,
+        store: Option<(u64, &[u64])>,
     ) -> Cycle {
         let line = addr.line(self.cfg.l2.line_bytes);
         // Port arbitration: one new access per cycle, FIFO.
@@ -269,10 +281,10 @@ impl MemoryHierarchy {
         // per-word compare of the store payload against the resident data
         // is the compare the silent-write-aware scheme pays for in area.
         if self.silent_elision {
-            if let (AccessKind::Write, Some((mask, words))) = (kind, &store) {
+            if let (AccessKind::Write, Some((mask, words))) = (kind, store) {
                 if let Some((set, way)) = self.l2.peek(line) {
                     if let Some(resident) = self.l2.line_data(set, way) {
-                        if masked_words_match(*mask, words, resident) {
+                        if masked_words_match(mask, words, resident) {
                             self.l2.silent_write_hit(set, way, start);
                             return start + self.cfg.l2.hit_latency;
                         }
@@ -284,7 +296,7 @@ impl MemoryHierarchy {
         match self.l2.lookup(line, kind, start) {
             Lookup::Hit { set, way, .. } => {
                 if let Some((mask, words)) = store {
-                    self.apply_store_words(set, way, mask, &words);
+                    self.apply_store_words(set, way, mask, words);
                 }
                 start + self.cfg.l2.hit_latency
             }
@@ -295,14 +307,15 @@ impl MemoryHierarchy {
                 let data_ready = addr_done + self.mem.latency();
                 let done = self.bus.occupy(data_ready, self.cfg.l2.line_bytes);
 
-                let mut data = self.mem.read_line(line);
+                let data = &mut self.fill_buf;
+                self.mem.read_line(line, data);
                 let mut is_write = store.is_some();
-                if let Some((mask, words)) = &store {
+                if let Some((mask, words)) = store {
                     // The write-allocate seam: when the stored bytes match
                     // the freshly fetched memory image, the allocation is
                     // silent — install the line *clean* and skip the merge
                     // (nothing changed; memory already holds the truth).
-                    if self.silent_elision && masked_words_match(*mask, words, &data) {
+                    if self.silent_elision && masked_words_match(mask, words, data) {
                         is_write = false;
                         self.silent_fills += 1;
                     } else {
@@ -313,21 +326,15 @@ impl MemoryHierarchy {
                         }
                     }
                 }
-                let outcome = self.l2.install(line, is_write, done, Some(data));
-                if let Some(victim) = outcome.evicted {
-                    self.writeback_to_memory(victim, done);
-                }
+                self.install_l2(line, is_write, done);
                 // Tagged next-line prefetch on demand read misses: bring
                 // the successor line in clean, paying its bus beats.
                 if self.cfg.l2_next_line_prefetch && kind.is_read() {
                     let next = crate::addr::LineAddr(line.0 + 1);
                     if self.l2.peek(next).is_none() {
-                        let pf_data = self.mem.read_line(next);
+                        self.mem.read_line(next, &mut self.fill_buf);
                         let pf_done = self.bus.occupy(done, self.cfg.l2.line_bytes);
-                        let pf_outcome = self.l2.install(next, false, pf_done, Some(pf_data));
-                        if let Some(victim) = pf_outcome.evicted {
-                            self.writeback_to_memory(victim, pf_done);
-                        }
+                        self.install_l2(next, false, pf_done);
                         self.prefetches_issued += 1;
                     }
                 }
@@ -356,12 +363,8 @@ impl MemoryHierarchy {
             return None;
         }
         self.l2_port_free_at = now + 1;
-        let cleaned = self.l2.reuse_probe(set, now, multiplier, fallback_gap);
-        let count = cleaned.len();
-        for line in cleaned {
-            self.writeback_to_memory(line, now + self.cfg.l2.hit_latency);
-        }
-        Some(count)
+        self.l2.reuse_probe(set, now, multiplier, fallback_gap);
+        Some(self.write_back_cleaned(set, now + self.cfg.l2.hit_latency))
     }
 
     fn apply_store_words(&mut self, set: usize, way: usize, mask: u64, words: &[u64]) {
@@ -372,15 +375,38 @@ impl MemoryHierarchy {
         }
     }
 
-    /// Puts a displaced/cleaned dirty line on the bus and into memory.
-    fn writeback_to_memory(&mut self, line: EvictedLine, now: Cycle) {
-        if !line.dirty {
-            return;
+    /// Installs `line` into the L2 from the fill scratch line, writing a
+    /// displaced dirty victim back (on the bus and into memory) at `now`.
+    fn install_l2(&mut self, line: crate::addr::LineAddr, write: bool, now: Cycle) {
+        let outcome = self.l2.install(line, write, now, Some(&self.fill_buf));
+        if let Some(victim) = outcome.evicted.filter(|v| v.dirty) {
+            self.bus.occupy(now, self.cfg.l2.line_bytes);
+            let data = self.l2.victim_data().expect("the L2 stores line data");
+            self.mem.write_line(victim.line, data);
         }
+    }
+
+    /// Puts a cleaned (still resident) dirty line of `set` on the bus and
+    /// copies its data into memory.
+    fn write_back_resident(&mut self, set: usize, way: usize, now: Cycle) {
         self.bus.occupy(now, self.cfg.l2.line_bytes);
-        if let Some(data) = line.data {
-            self.mem.write_line(line.line, data);
+        let line = self.l2.line_view(set, way).line;
+        let data = self
+            .l2
+            .line_data(set, way)
+            .expect("the L2 stores line data");
+        self.mem.write_line(line, data);
+    }
+
+    /// Writes back every line the latest L2 cleaning probe of `set`
+    /// cleaned; returns how many there were.
+    fn write_back_cleaned(&mut self, set: usize, now: Cycle) -> usize {
+        let count = self.l2.last_cleaned().len();
+        for i in 0..count {
+            let way = self.l2.last_cleaned()[i].way;
+            self.write_back_resident(set, way, now);
         }
+        count
     }
 
     /// The cleaning logic's probe of one L2 set (the paper's FSM action).
@@ -404,12 +430,8 @@ impl MemoryHierarchy {
             return None;
         }
         self.l2_port_free_at = now + 1;
-        let cleaned = self.l2.clean_probe_mode(set, now, respect_written);
-        let count = cleaned.len();
-        for line in cleaned {
-            self.writeback_to_memory(line, now + self.cfg.l2.hit_latency);
-        }
-        Some(count)
+        self.l2.clean_probe_mode(set, now, respect_written);
+        Some(self.write_back_cleaned(set, now + self.cfg.l2.hit_latency))
     }
 
     /// Decay-based cleaning probe of one L2 set (ablation alternative to
@@ -419,12 +441,8 @@ impl MemoryHierarchy {
             return None;
         }
         self.l2_port_free_at = now + 1;
-        let cleaned = self.l2.decay_probe(set, now, window);
-        let count = cleaned.len();
-        for line in cleaned {
-            self.writeback_to_memory(line, now + self.cfg.l2.hit_latency);
-        }
-        Some(count)
+        self.l2.decay_probe(set, now, window);
+        Some(self.write_back_cleaned(set, now + self.cfg.l2.hit_latency))
     }
 
     /// Eager-writeback probe (Lee et al.): only proceeds when both the L2
@@ -438,7 +456,7 @@ impl MemoryHierarchy {
         self.l2_port_free_at = now + 1;
         match self.l2.eager_probe(set, now) {
             Some(line) => {
-                self.writeback_to_memory(line, now + self.cfg.l2.hit_latency);
+                self.write_back_resident(set, line.way, now + self.cfg.l2.hit_latency);
                 Some(true)
             }
             None => Some(false),
@@ -450,8 +468,8 @@ impl MemoryHierarchy {
     /// was issued.
     pub fn force_clean_l2(&mut self, set: usize, way: usize, class: WbClass, now: Cycle) -> bool {
         match self.l2.force_clean(set, way, now, class) {
-            Some(line) => {
-                self.writeback_to_memory(line, now);
+            Some(_) => {
+                self.write_back_resident(set, way, now);
                 true
             }
             None => false,
@@ -703,7 +721,8 @@ mod tests {
         assert_eq!(cleaned, 1);
         assert_eq!(h.l2().dirty_line_count(), 0);
         // The written-back data reached memory.
-        let img = h.memory_mut().read_line(line);
+        let mut img = [0u64; 8];
+        h.memory_mut().read_line(line, &mut img);
         assert_ne!(img[0], MainMemory::pristine(line, 8)[0]);
     }
 
@@ -775,7 +794,9 @@ mod more_tests {
         // Evict via cleaning, then check memory returns the same words.
         let set_idx = line.set_index(h.l2().sets() as u64);
         h.clean_probe_l2(set_idx, 1_000).unwrap();
-        assert_eq!(&*h.memory_mut().read_line(line), cached.as_slice());
+        let mut img = [0u64; 8];
+        h.memory_mut().read_line(line, &mut img);
+        assert_eq!(img.as_slice(), cached.as_slice());
     }
 
     #[test]
@@ -812,7 +833,7 @@ mod more_tests {
         let dirty_before = h.l2().dirty_line_count();
         let (l2, mem) = h.l2_and_memory_mut();
         assert_eq!(l2.dirty_line_count(), dirty_before);
-        let _ = mem.read_line(crate::addr::LineAddr(0));
+        mem.read_line(crate::addr::LineAddr(0), &mut [0; 8]);
     }
 
     #[test]

@@ -9,6 +9,7 @@
 //! without materialising the whole address space.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::addr::LineAddr;
 
@@ -22,27 +23,61 @@ pub fn mix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
+/// A fixed multiplicative hasher for [`LineAddr`] keys: one multiply by
+/// the 64-bit golden ratio, with the high half folded down so the low
+/// bits a hash table indexes by depend on every key bit (set-strided
+/// line addresses differ only in their high bits).
+#[derive(Debug, Clone, Copy, Default)]
+struct LineHasher(u64);
+
+impl Hasher for LineHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        let h = (self.0 ^ x).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.0 = h ^ (h >> 32);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// Main-memory model: fixed access latency and a sparse line image.
+///
+/// Written-back lines live in one flat word arena, indexed by line under
+/// [`LineHasher`]; reads copy into and writes copy from caller slices, so
+/// a line's second and later write-backs allocate nothing.
 ///
 /// ```
 /// use aep_mem::memory::MainMemory;
 /// use aep_mem::addr::LineAddr;
 ///
 /// let mut mem = MainMemory::new(100, 8);
-/// let pristine = mem.read_line(LineAddr(7));
+/// let mut pristine = [0u64; 8];
+/// mem.read_line(LineAddr(7), &mut pristine);
 /// // Deterministic: reading again yields the same words.
-/// assert_eq!(mem.read_line(LineAddr(7)), pristine);
+/// let mut again = [0u64; 8];
+/// mem.read_line(LineAddr(7), &mut again);
+/// assert_eq!(again, pristine);
 ///
-/// let mut updated = pristine.clone();
+/// let mut updated = pristine;
 /// updated[0] = 42;
-/// mem.write_line(LineAddr(7), updated.clone());
-/// assert_eq!(mem.read_line(LineAddr(7)), updated);
+/// mem.write_line(LineAddr(7), &updated);
+/// mem.read_line(LineAddr(7), &mut again);
+/// assert_eq!(again, updated);
 /// ```
 #[derive(Debug, Clone)]
 pub struct MainMemory {
     latency: u64,
     words_per_line: usize,
-    image: HashMap<LineAddr, Box<[u64]>>,
+    /// Line → index of its words in `words` (in units of lines).
+    index: HashMap<LineAddr, usize, BuildHasherDefault<LineHasher>>,
+    words: Vec<u64>,
     reads: u64,
     writes: u64,
 }
@@ -60,7 +95,8 @@ impl MainMemory {
         MainMemory {
             latency,
             words_per_line,
-            image: HashMap::new(),
+            index: HashMap::default(),
+            words: Vec::new(),
             reads: 0,
             writes: 0,
         }
@@ -72,21 +108,65 @@ impl MainMemory {
         self.latency
     }
 
-    /// Reads a full line (pristine lines are synthesised deterministically).
-    pub fn read_line(&mut self, line: LineAddr) -> Box<[u64]> {
+    /// The explicit (written-back) contents of `line`, if any.
+    fn stored(&self, line: LineAddr) -> Option<&[u64]> {
+        let w = self.words_per_line;
+        self.index
+            .get(&line)
+            .map(|&i| &self.words[i * w..(i + 1) * w])
+    }
+
+    /// The explicit contents of `line`, materialised (as its pristine
+    /// words) on first use.
+    fn stored_mut(&mut self, line: LineAddr) -> &mut [u64] {
+        let w = self.words_per_line;
+        let next = self.index.len();
+        let i = *self.index.entry(line).or_insert(next);
+        if i == next {
+            self.words.resize((next + 1) * w, 0);
+            Self::fill_pristine(line, &mut self.words[i * w..]);
+        }
+        &mut self.words[i * w..(i + 1) * w]
+    }
+
+    /// Reads a full line into `out` (pristine lines are synthesised
+    /// deterministically).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out` is not exactly one line.
+    pub fn read_line(&mut self, line: LineAddr, out: &mut [u64]) {
+        assert_eq!(out.len(), self.words_per_line, "read must be one full line");
         self.reads += 1;
-        match self.image.get(&line) {
-            Some(data) => data.clone(),
-            None => Self::pristine(line, self.words_per_line),
+        match self.stored(line) {
+            Some(data) => out.copy_from_slice(data),
+            None => Self::fill_pristine(line, out),
         }
     }
 
     /// The synthetic contents of a never-written line.
     #[must_use]
     pub fn pristine(line: LineAddr, words_per_line: usize) -> Box<[u64]> {
-        (0..words_per_line as u64)
-            .map(|i| mix64(line.0.wrapping_mul(words_per_line as u64).wrapping_add(i)))
-            .collect()
+        let mut out = vec![0; words_per_line].into_boxed_slice();
+        Self::fill_pristine(line, &mut out);
+        out
+    }
+
+    /// Writes the synthetic contents of never-written `line` into `out`
+    /// (one word per element of `out`).
+    fn fill_pristine(line: LineAddr, out: &mut [u64]) {
+        let words_per_line = out.len();
+        for (i, w) in out.iter_mut().enumerate() {
+            *w = Self::pristine_word(line, words_per_line, i);
+        }
+    }
+
+    fn pristine_word(line: LineAddr, words_per_line: usize, word: usize) -> u64 {
+        mix64(
+            line.0
+                .wrapping_mul(words_per_line as u64)
+                .wrapping_add(word as u64),
+        )
     }
 
     /// Writes a full line back to memory.
@@ -94,30 +174,25 @@ impl MainMemory {
     /// # Panics
     ///
     /// Panics if `data` is not exactly one line.
-    pub fn write_line(&mut self, line: LineAddr, data: Box<[u64]>) {
+    pub fn write_line(&mut self, line: LineAddr, data: &[u64]) {
         assert_eq!(
             data.len(),
             self.words_per_line,
             "write must be one full line"
         );
         self.writes += 1;
-        self.image.insert(line, data);
+        self.stored_mut(line).copy_from_slice(data);
     }
 
     /// Merges masked store words into a line (used when a no-write-allocate
     /// level forwards a partial line).
     pub fn write_words(&mut self, line: LineAddr, word_mask: u64, words: &[u64]) {
-        let mut current = match self.image.remove(&line) {
-            Some(d) => d,
-            None => Self::pristine(line, self.words_per_line),
-        };
-        for (i, slot) in current.iter_mut().enumerate() {
+        for (i, slot) in self.stored_mut(line).iter_mut().enumerate() {
             if word_mask & (1 << i) != 0 {
                 *slot = words[i];
             }
         }
         self.writes += 1;
-        self.image.insert(line, current);
     }
 
     /// Corruption witness: `true` when the line's current memory image
@@ -126,9 +201,15 @@ impl MainMemory {
     /// never perturbs traffic statistics.
     #[must_use]
     pub fn line_matches(&self, line: LineAddr, expected: &[u64]) -> bool {
-        match self.image.get(&line) {
-            Some(data) => &**data == expected,
-            None => *Self::pristine(line, self.words_per_line) == *expected,
+        match self.stored(line) {
+            Some(data) => data == expected,
+            None => {
+                let w = self.words_per_line;
+                expected.len() == w
+                    && (0..)
+                        .zip(expected)
+                        .all(|(i, &e)| e == Self::pristine_word(line, w, i))
+            }
         }
     }
 
@@ -147,7 +228,7 @@ impl MainMemory {
     /// Number of lines with explicit (written-back) contents.
     #[must_use]
     pub fn resident_lines(&self) -> usize {
-        self.image.len()
+        self.index.len()
     }
 }
 
@@ -155,16 +236,22 @@ impl MainMemory {
 mod tests {
     use super::*;
 
+    fn read(mem: &mut MainMemory, line: u64) -> [u64; 8] {
+        let mut out = [0; 8];
+        mem.read_line(LineAddr(line), &mut out);
+        out
+    }
+
     #[test]
     fn pristine_lines_are_deterministic() {
         let mut mem = MainMemory::new(100, 8);
-        let a = mem.read_line(LineAddr(123));
-        let b = mem.read_line(LineAddr(123));
+        let a = read(&mut mem, 123);
+        let b = read(&mut mem, 123);
         assert_eq!(a, b);
-        assert_eq!(a.len(), 8);
+        assert_eq!(a, *MainMemory::pristine(LineAddr(123), 8));
         // Distinct lines get distinct contents (overwhelmingly likely
         // by construction, asserted here as a regression guard).
-        assert_ne!(mem.read_line(LineAddr(124)), a);
+        assert_ne!(read(&mut mem, 124), a);
     }
 
     #[test]
@@ -179,22 +266,26 @@ mod tests {
     #[test]
     fn writes_override_pristine_contents() {
         let mut mem = MainMemory::new(100, 8);
-        let data: Box<[u64]> = (0..8).collect();
-        mem.write_line(LineAddr(5), data.clone());
-        assert_eq!(mem.read_line(LineAddr(5)), data);
+        let data: [u64; 8] = std::array::from_fn(|i| i as u64);
+        mem.write_line(LineAddr(5), &data);
+        assert_eq!(read(&mut mem, 5), data);
         assert_eq!(mem.resident_lines(), 1);
         assert_eq!(mem.writes(), 1);
+        // A second write-back of the same line overwrites in place.
+        mem.write_line(LineAddr(5), &[7; 8]);
+        assert_eq!(read(&mut mem, 5), [7; 8]);
+        assert_eq!(mem.resident_lines(), 1);
     }
 
     #[test]
     fn masked_word_writes_merge() {
         let mut mem = MainMemory::new(100, 8);
-        let pristine = mem.read_line(LineAddr(9));
+        let pristine = read(&mut mem, 9);
         let mut words = vec![0u64; 8];
         words[2] = 0xAA;
         words[6] = 0xBB;
         mem.write_words(LineAddr(9), (1 << 2) | (1 << 6), &words);
-        let after = mem.read_line(LineAddr(9));
+        let after = read(&mut mem, 9);
         assert_eq!(after[2], 0xAA);
         assert_eq!(after[6], 0xBB);
         assert_eq!(after[0], pristine[0]);
@@ -209,7 +300,7 @@ mod tests {
         let mut wrong = pristine.clone();
         wrong[0] ^= 1;
         assert!(!mem.line_matches(LineAddr(3), &wrong));
-        mem.write_line(LineAddr(3), wrong.clone());
+        mem.write_line(LineAddr(3), &wrong);
         assert!(mem.line_matches(LineAddr(3), &wrong));
         assert!(!mem.line_matches(LineAddr(3), &pristine));
         assert_eq!(mem.reads(), 0, "witness must not count as traffic");
@@ -219,7 +310,21 @@ mod tests {
     #[should_panic(expected = "full line")]
     fn short_write_panics() {
         let mut mem = MainMemory::new(100, 8);
-        mem.write_line(LineAddr(0), vec![0u64; 4].into_boxed_slice());
+        mem.write_line(LineAddr(0), &[0u64; 4]);
+    }
+
+    #[test]
+    fn set_strided_lines_hash_apart() {
+        use std::hash::{BuildHasher, BuildHasherDefault};
+        // Lines of one L2 set differ only above the set-index bits; the
+        // table's low hash bits must still tell them apart.
+        let build = BuildHasherDefault::<LineHasher>::default();
+        let mut low: Vec<u64> = (0..256u64)
+            .map(|k| build.hash_one(LineAddr(k << 12)) & 0xFFF)
+            .collect();
+        low.sort_unstable();
+        low.dedup();
+        assert!(low.len() > 200, "only {} distinct low hashes", low.len());
     }
 
     #[test]

@@ -10,15 +10,15 @@
 use crate::addr::LineAddr;
 use crate::Cycle;
 
-/// One buffered line: which 64-bit words have been written, and the data.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// One buffered line: which 64-bit words have been written. The payload
+/// words live in the buffer's arena and are copied out by
+/// [`WriteBuffer::pop`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WriteEntry {
     /// The L2-line address the entry will be written to.
     pub line: LineAddr,
     /// Bit *i* set ⇒ word *i* of the line carries store data.
     pub word_mask: u64,
-    /// Store payloads (valid where `word_mask` is set).
-    pub words: Box<[u64]>,
     /// Cycle of the first store merged into this entry.
     pub allocated_at: Cycle,
 }
@@ -59,6 +59,10 @@ impl WriteBufferStats {
 
 /// A fully associative, FIFO-retired, coalescing write buffer.
 ///
+/// Entries sit in a ring of `capacity` slots; slot *k* owns words
+/// `k * words_per_line ..` of one flat payload arena, so pushing,
+/// coalescing and retiring allocate nothing.
+///
 /// ```
 /// use aep_mem::write_buffer::{PushOutcome, WriteBuffer};
 /// use aep_mem::addr::LineAddr;
@@ -68,12 +72,18 @@ impl WriteBufferStats {
 /// assert_eq!(wb.push(LineAddr(1), 3, 0xBB, 1), PushOutcome::Coalesced);
 /// assert_eq!(wb.push(LineAddr(2), 0, 0xCC, 2), PushOutcome::Inserted);
 /// assert_eq!(wb.push(LineAddr(3), 0, 0xDD, 3), PushOutcome::Full);
-/// assert_eq!(wb.pop().unwrap().line, LineAddr(1)); // FIFO
+/// let mut words = [0u64; 8];
+/// let entry = wb.pop(&mut words).unwrap(); // FIFO
+/// assert_eq!(entry.line, LineAddr(1));
+/// assert_eq!((words[0], words[3]), (0xAA, 0xBB));
 /// ```
 #[derive(Debug, Clone)]
 pub struct WriteBuffer {
-    entries: std::collections::VecDeque<WriteEntry>,
-    capacity: usize,
+    /// Ring of entry slots; the live entries are `len` slots from `head`.
+    entries: Vec<WriteEntry>,
+    words: Vec<u64>,
+    head: usize,
+    len: usize,
     words_per_line: usize,
     stats: WriteBufferStats,
 }
@@ -91,9 +101,16 @@ impl WriteBuffer {
             (1..=64).contains(&words_per_line),
             "words per line must be in 1..=64"
         );
+        let empty = WriteEntry {
+            line: LineAddr(0),
+            word_mask: 0,
+            allocated_at: 0,
+        };
         WriteBuffer {
-            entries: std::collections::VecDeque::with_capacity(capacity),
-            capacity,
+            entries: vec![empty; capacity],
+            words: vec![0; capacity * words_per_line],
+            head: 0,
+            len: 0,
             words_per_line,
             stats: WriteBufferStats::default(),
         }
@@ -102,25 +119,35 @@ impl WriteBuffer {
     /// Number of buffered entries.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.len
     }
 
     /// `true` when no entries are buffered.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len == 0
     }
 
     /// `true` when no further entry can be allocated.
     #[must_use]
     pub fn is_full(&self) -> bool {
-        self.entries.len() == self.capacity
+        self.len == self.entries.len()
     }
 
     /// Cumulative statistics.
     #[must_use]
     pub fn stats(&self) -> WriteBufferStats {
         self.stats
+    }
+
+    /// The ring slots of the live entries, oldest first.
+    fn live_slots(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.len).map(|k| (self.head + k) % self.entries.len())
+    }
+
+    /// The live slot buffering `line`, if any.
+    fn find(&self, line: LineAddr) -> Option<usize> {
+        self.live_slots().find(|&k| self.entries[k].line == line)
     }
 
     /// Pushes one store (line, word index, payload) into the buffer.
@@ -130,9 +157,10 @@ impl WriteBuffer {
     /// Panics if `word` is out of range for the configured line.
     pub fn push(&mut self, line: LineAddr, word: usize, value: u64, now: Cycle) -> PushOutcome {
         assert!(word < self.words_per_line, "word index out of range");
-        if let Some(entry) = self.entries.iter_mut().find(|e| e.line == line) {
-            entry.word_mask |= 1 << word;
-            entry.words[word] = value;
+        let w = self.words_per_line;
+        if let Some(k) = self.find(line) {
+            self.entries[k].word_mask |= 1 << word;
+            self.words[k * w + word] = value;
             self.stats.coalesced += 1;
             return PushOutcome::Coalesced;
         }
@@ -140,32 +168,45 @@ impl WriteBuffer {
             self.stats.full_stalls += 1;
             return PushOutcome::Full;
         }
-        let mut words = vec![0u64; self.words_per_line].into_boxed_slice();
-        words[word] = value;
-        self.entries.push_back(WriteEntry {
+        let k = (self.head + self.len) % self.entries.len();
+        self.len += 1;
+        self.entries[k] = WriteEntry {
             line,
             word_mask: 1 << word,
-            words,
             allocated_at: now,
-        });
+        };
+        let payload = &mut self.words[k * w..(k + 1) * w];
+        payload.fill(0);
+        payload[word] = value;
         self.stats.inserted += 1;
         PushOutcome::Inserted
     }
 
-    /// Retires the oldest entry (FIFO), if any.
-    pub fn pop(&mut self) -> Option<WriteEntry> {
-        let e = self.entries.pop_front();
-        if e.is_some() {
-            self.stats.retired += 1;
+    /// Retires the oldest entry (FIFO), if any, copying its payload into
+    /// `words` (valid where the entry's `word_mask` is set; the rest are
+    /// zero).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `words` is not exactly one line.
+    pub fn pop(&mut self, words: &mut [u64]) -> Option<WriteEntry> {
+        if self.len == 0 {
+            return None;
         }
-        e
+        let w = self.words_per_line;
+        let k = self.head;
+        words.copy_from_slice(&self.words[k * w..(k + 1) * w]);
+        self.head = (k + 1) % self.entries.len();
+        self.len -= 1;
+        self.stats.retired += 1;
+        Some(self.entries[k])
     }
 
     /// `true` when a load to `line` would hit buffered store data
     /// (store-to-load forwarding from the buffer).
     #[must_use]
     pub fn contains(&self, line: LineAddr) -> bool {
-        self.entries.iter().any(|e| e.line == line)
+        self.find(line).is_some()
     }
 }
 
@@ -180,10 +221,11 @@ mod tests {
         assert_eq!(wb.push(LineAddr(9), 5, 20, 1), PushOutcome::Coalesced);
         assert_eq!(wb.push(LineAddr(9), 1, 30, 2), PushOutcome::Coalesced);
         assert_eq!(wb.len(), 1);
-        let e = wb.pop().unwrap();
+        let mut words = [0u64; 8];
+        let e = wb.pop(&mut words).unwrap();
         assert_eq!(e.word_mask, (1 << 1) | (1 << 5));
-        assert_eq!(e.words[1], 30, "later store wins");
-        assert_eq!(e.words[5], 20);
+        assert_eq!(words[1], 30, "later store wins");
+        assert_eq!(words[5], 20);
         assert_eq!(e.allocated_at, 0);
     }
 
@@ -193,10 +235,11 @@ mod tests {
         for i in 0..4 {
             wb.push(LineAddr(i), 0, i, i);
         }
+        let mut words = [0u64; 8];
         for i in 0..4 {
-            assert_eq!(wb.pop().unwrap().line, LineAddr(i));
+            assert_eq!(wb.pop(&mut words).unwrap().line, LineAddr(i));
         }
-        assert!(wb.pop().is_none());
+        assert!(wb.pop(&mut words).is_none());
     }
 
     #[test]
@@ -217,7 +260,7 @@ mod tests {
         wb.push(LineAddr(4), 0, 0, 0);
         assert!(wb.contains(LineAddr(4)));
         assert!(!wb.contains(LineAddr(5)));
-        wb.pop();
+        wb.pop(&mut [0; 8]);
         assert!(!wb.contains(LineAddr(4)));
     }
 
@@ -227,12 +270,29 @@ mod tests {
         wb.push(LineAddr(1), 0, 0, 0);
         wb.push(LineAddr(1), 1, 0, 0);
         wb.push(LineAddr(2), 0, 0, 0);
-        wb.pop();
+        wb.pop(&mut [0; 8]);
         let s = wb.stats();
         assert_eq!(s.inserted, 1);
         assert_eq!(s.coalesced, 1);
         assert_eq!(s.full_stalls, 1);
         assert_eq!(s.retired, 1);
+    }
+
+    #[test]
+    fn ring_slots_are_reused_without_stale_words() {
+        let mut wb = WriteBuffer::new(2, 8);
+        let mut words = [0u64; 8];
+        for round in 0..5u64 {
+            wb.push(LineAddr(round), 2, round + 1, round);
+            wb.push(LineAddr(round + 100), 6, round + 7, round);
+            let first = wb.pop(&mut words).unwrap();
+            assert_eq!(first.line, LineAddr(round));
+            assert_eq!(words, [0, 0, round + 1, 0, 0, 0, 0, 0]);
+            let second = wb.pop(&mut words).unwrap();
+            assert_eq!(second.word_mask, 1 << 6);
+            assert_eq!(words, [0, 0, 0, 0, 0, 0, round + 7, 0]);
+        }
+        assert!(wb.is_empty());
     }
 
     #[test]

@@ -31,12 +31,13 @@ fn populate(scheme: &mut dyn ProtectionScheme) -> (Cache, MainMemory) {
         // this respects the proposed scheme's structural bound, so the
         // same population is valid under every scheme.
         let dirty = i < sets;
-        let data = if dirty {
-            (0..8).map(|w| mix64(i * 8 + w)).collect()
+        let mut data = [0u64; 8];
+        if dirty {
+            data = std::array::from_fn(|w| mix64(i * 8 + w as u64));
         } else {
-            mem.read_line(line)
-        };
-        l2.install(line, dirty, 0, Some(data));
+            mem.read_line(line, &mut data);
+        }
+        l2.install(line, dirty, 0, Some(&data));
         let mut directives = Vec::new();
         for event in l2.take_events() {
             scheme.on_event(&event, &l2, &mut directives);

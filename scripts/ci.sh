@@ -31,6 +31,7 @@ step "cargo fmt --check" cargo fmt --check
 step "cargo clippy --workspace -- -D warnings" \
   cargo clippy --workspace --all-targets -- -D warnings
 step "cargo test -q --workspace" cargo test -q --workspace
+step "cargo test -q --workspace --release" cargo test -q --workspace --release
 step "stats gate (smoke)" scripts/stats_gate.sh smoke
 step "differential check (smoke)" scripts/differential_check.sh smoke
 step "workload diversity gate" \

@@ -182,12 +182,12 @@ fn dirty_counter_matches_recount() {
             match rng.gen_range(0..3u8) {
                 0 => {
                     if !cache.lookup(line, AccessKind::Read, now).is_hit() {
-                        cache.install(line, false, now, Some(vec![0; 8].into()));
+                        cache.install(line, false, now, Some(&[0; 8]));
                     }
                 }
                 1 => {
                     if !cache.lookup(line, AccessKind::Write, now).is_hit() {
-                        cache.install(line, true, now, Some(vec![1; 8].into()));
+                        cache.install(line, true, now, Some(&[1; 8]));
                     }
                 }
                 _ => {
@@ -227,7 +227,7 @@ fn write_buffer_model() {
             assert!(wb.len() <= 4);
             if outcome == PushOutcome::Full {
                 // Drain one (as the hierarchy does) and retry.
-                let popped = wb.pop().expect("full buffer pops");
+                let popped = wb.pop(&mut [0; 8]).expect("full buffer pops");
                 assert_eq!(popped.line.0, model.remove(0));
                 assert_eq!(
                     wb.push(line, word, i as u64, i as u64),
@@ -238,9 +238,9 @@ fn write_buffer_model() {
         }
         // Full FIFO drain.
         for expected in model {
-            assert_eq!(wb.pop().expect("entry").line.0, expected);
+            assert_eq!(wb.pop(&mut [0; 8]).expect("entry").line.0, expected);
         }
-        assert!(wb.pop().is_none());
+        assert!(wb.pop(&mut [0; 8]).is_none());
     }
 }
 
@@ -267,23 +267,23 @@ fn nonuniform_invariant_under_random_traffic() {
                 0 => {
                     // Read (fill from memory on miss).
                     if !l2.lookup(line, AccessKind::Read, now).is_hit() {
-                        let data = mem.read_line(line);
-                        l2.install(line, false, now, Some(data));
+                        let mut data = [0u64; 8];
+                        mem.read_line(line, &mut data);
+                        l2.install(line, false, now, Some(&data));
                     }
                 }
                 1 | 2 => {
                     // Write (write-allocate on miss).
                     if !l2.lookup(line, AccessKind::Write, now).is_hit() {
-                        let data = mem.read_line(line);
-                        l2.install(line, true, now, Some(data));
+                        let mut data = [0u64; 8];
+                        mem.read_line(line, &mut data);
+                        l2.install(line, true, now, Some(&data));
                     }
                 }
                 _ => {
                     let set = line.set_index(l2.sets() as u64);
-                    for cleaned in l2.clean_probe(set, now) {
-                        if let Some(data) = cleaned.data {
-                            mem.write_line(cleaned.line, data);
-                        }
+                    for cleaned in l2.clean_probe(set, now).to_vec() {
+                        mem.write_line(cleaned.line, l2.line_data(set, cleaned.way).unwrap());
                     }
                 }
             }
@@ -299,9 +299,7 @@ fn nonuniform_invariant_under_random_traffic() {
                 }
                 for Directive::ForceClean { set, way } in directives {
                     if let Some(ev) = l2.force_clean(set, way, now, WbClass::EccEviction) {
-                        if let Some(data) = ev.data {
-                            mem.write_line(ev.line, data);
-                        }
+                        mem.write_line(ev.line, l2.line_data(set, way).unwrap());
                     }
                 }
             }

@@ -1,20 +1,21 @@
 //! The functional-unit pool.
 //!
-//! Table 1: *"4 INT add, 1 INT mult/div, 1 FP add, 1 FP mult/div"*. Each
-//! unit tracks the cycle it becomes free; an op acquires a free unit of its
-//! class at issue and holds it for the op's issue (initiation) interval
-//! while the result appears after the op's latency.
+//! Table 1: *"4 INT add, 1 INT mult/div, 1 FP add, 1 FP mult/div"*. Every
+//! unit is fully pipelined (an initiation interval of one cycle): an op
+//! takes a unit of its class for its issue cycle only, and its result
+//! appears after the op's latency. A unit taken at cycle `t` is therefore
+//! free again at `t + 1`, and which unit of a class an op takes never
+//! matters, so the pool only counts, per class, the units taken in the
+//! current cycle.
 
 use crate::isa::OpClass;
 use aep_mem::Cycle;
 
-/// Latency/occupancy of one op class.
+/// Latency of one op class.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OpTiming {
     /// Cycles until the result is available.
     pub latency: u64,
-    /// Cycles the unit stays busy (initiation interval).
-    pub issue_interval: u64,
 }
 
 /// Functional-unit pool configuration.
@@ -46,14 +47,29 @@ impl FuConfig {
     }
 }
 
-/// Tracks per-unit busy-until cycles for every class.
+/// Unit classes: integer ALU (also branches), integer multiplier, FP
+/// adder, FP multiplier, memory port.
+const UNIT_CLASSES: usize = 5;
+
+fn unit_class(class: OpClass) -> usize {
+    match class {
+        OpClass::IntAlu | OpClass::Branch => 0,
+        OpClass::IntMul => 1,
+        OpClass::FpAdd => 2,
+        OpClass::FpMul => 3,
+        OpClass::Load | OpClass::Store => 4,
+    }
+}
+
+/// Per-class issue counters for the current cycle.
+///
+/// `now` must not decrease between calls: the counters describe the
+/// latest cycle seen and reset when a later one arrives.
 #[derive(Debug, Clone)]
 pub struct FuPool {
-    int_alu: Vec<Cycle>,
-    int_mul: Vec<Cycle>,
-    fp_add: Vec<Cycle>,
-    fp_mul: Vec<Cycle>,
-    mem_ports: Vec<Cycle>,
+    units: [usize; UNIT_CLASSES],
+    taken: [usize; UNIT_CLASSES],
+    cycle: Cycle,
 }
 
 impl FuPool {
@@ -64,87 +80,64 @@ impl FuPool {
     /// Panics if any unit count is zero.
     #[must_use]
     pub fn new(cfg: &FuConfig) -> Self {
+        let units = [
+            cfg.int_alu,
+            cfg.int_mul,
+            cfg.fp_add,
+            cfg.fp_mul,
+            cfg.mem_ports,
+        ];
         assert!(
-            cfg.int_alu > 0
-                && cfg.int_mul > 0
-                && cfg.fp_add > 0
-                && cfg.fp_mul > 0
-                && cfg.mem_ports > 0,
+            units.iter().all(|&n| n > 0),
             "every unit class needs at least one unit"
         );
         FuPool {
-            int_alu: vec![0; cfg.int_alu],
-            int_mul: vec![0; cfg.int_mul],
-            fp_add: vec![0; cfg.fp_add],
-            fp_mul: vec![0; cfg.fp_mul],
-            mem_ports: vec![0; cfg.mem_ports],
+            units,
+            taken: [0; UNIT_CLASSES],
+            cycle: 0,
         }
     }
 
-    /// SimpleScalar-style timings per op class.
+    /// SimpleScalar-style latencies per op class.
     #[must_use]
     pub fn timing(class: OpClass) -> OpTiming {
-        match class {
-            OpClass::IntAlu | OpClass::Branch => OpTiming {
-                latency: 1,
-                issue_interval: 1,
-            },
-            OpClass::IntMul => OpTiming {
-                latency: 3,
-                issue_interval: 1,
-            },
-            OpClass::FpAdd => OpTiming {
-                latency: 2,
-                issue_interval: 1,
-            },
-            OpClass::FpMul => OpTiming {
-                latency: 4,
-                issue_interval: 1,
-            },
+        let latency = match class {
+            OpClass::IntAlu | OpClass::Branch => 1,
+            OpClass::IntMul => 3,
+            OpClass::FpAdd => 2,
+            OpClass::FpMul => 4,
             // Memory latency comes from the hierarchy; the port is held
             // for the address-generation slot only.
-            OpClass::Load | OpClass::Store => OpTiming {
-                latency: 1,
-                issue_interval: 1,
-            },
-        }
+            OpClass::Load | OpClass::Store => 1,
+        };
+        OpTiming { latency }
     }
 
-    fn units_mut(&mut self, class: OpClass) -> &mut Vec<Cycle> {
-        match class {
-            OpClass::IntAlu | OpClass::Branch => &mut self.int_alu,
-            OpClass::IntMul => &mut self.int_mul,
-            OpClass::FpAdd => &mut self.fp_add,
-            OpClass::FpMul => &mut self.fp_mul,
-            OpClass::Load | OpClass::Store => &mut self.mem_ports,
-        }
-    }
-
-    /// Tries to acquire a unit of `class` at `now`; on success the unit is
-    /// held for the class's issue interval and `true` is returned.
+    /// Tries to take a unit of `class` for cycle `now`; returns whether
+    /// one was free.
     pub fn try_acquire(&mut self, class: OpClass, now: Cycle) -> bool {
-        let interval = Self::timing(class).issue_interval;
-        let units = self.units_mut(class);
-        for busy_until in units.iter_mut() {
-            if *busy_until <= now {
-                *busy_until = now + interval;
-                return true;
-            }
+        if now != self.cycle {
+            self.cycle = now;
+            self.taken = [0; UNIT_CLASSES];
         }
-        false
+        let c = unit_class(class);
+        if self.taken[c] < self.units[c] {
+            self.taken[c] += 1;
+            true
+        } else {
+            false
+        }
     }
 
     /// Number of units of `class` free at `now`.
     #[must_use]
     pub fn free_units(&self, class: OpClass, now: Cycle) -> usize {
-        let units = match class {
-            OpClass::IntAlu | OpClass::Branch => &self.int_alu,
-            OpClass::IntMul => &self.int_mul,
-            OpClass::FpAdd => &self.fp_add,
-            OpClass::FpMul => &self.fp_mul,
-            OpClass::Load | OpClass::Store => &self.mem_ports,
-        };
-        units.iter().filter(|&&b| b <= now).count()
+        let c = unit_class(class);
+        if now == self.cycle {
+            self.units[c] - self.taken[c]
+        } else {
+            self.units[c]
+        }
     }
 }
 
@@ -185,6 +178,34 @@ mod tests {
         assert!(pool.try_acquire(OpClass::Store, 0));
         assert!(!pool.try_acquire(OpClass::Load, 0), "2 mem ports");
         assert_eq!(pool.free_units(OpClass::Load, 1), 2);
+    }
+
+    #[test]
+    fn free_units_agrees_with_try_acquire_across_a_cycle_boundary() {
+        let mut pool = FuPool::new(&FuConfig::date2006());
+        for now in [7, 8] {
+            for class in [OpClass::IntAlu, OpClass::Load, OpClass::FpMul] {
+                let free = pool.free_units(class, now);
+                for taken in 0..free {
+                    assert_eq!(pool.free_units(class, now), free - taken);
+                    assert!(pool.try_acquire(class, now));
+                }
+                assert_eq!(pool.free_units(class, now), 0);
+                assert!(!pool.try_acquire(class, now), "{class:?} exhausted");
+                assert_eq!(pool.free_units(class, now + 1), free);
+            }
+        }
+        assert_eq!(
+            pool.free_units(OpClass::Branch, 8),
+            0,
+            "branches share the ALUs"
+        );
+        assert_eq!(
+            pool.free_units(OpClass::Store, 8),
+            0,
+            "stores share the ports"
+        );
+        assert_eq!(pool.free_units(OpClass::IntMul, 8), 1);
     }
 
     #[test]

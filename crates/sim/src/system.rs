@@ -440,6 +440,7 @@ mod tests {
     use super::*;
     use aep_cpu::isa::{LoopStream, MicroOp};
     use aep_mem::Addr;
+    use aep_workloads::Benchmark;
 
     fn store_heavy_stream() -> LoopStream {
         // Stores sweeping several L2 sets, plus filler.
@@ -495,6 +496,27 @@ mod tests {
         );
     }
 
+    /// Runs `fast` through [`System::run`] and `slow` one `step` per
+    /// cycle and asserts that both end in the same state.
+    fn assert_fast_forward_identical<S: InstrStream>(
+        mut fast: System<S>,
+        mut slow: System<S>,
+        cycles: u64,
+    ) {
+        fast.run(0, cycles);
+        for now in 0..cycles {
+            slow.step(now);
+        }
+        assert_eq!(fast.cpu.stats(), slow.cpu.stats());
+        assert_eq!(fast.hier.l2().stats(), slow.hier.l2().stats());
+        assert_eq!(fast.hier.ops(), slow.hier.ops());
+        assert_eq!(
+            fast.hier.l2().dirty_line_count(),
+            slow.hier.l2().dirty_line_count()
+        );
+        assert_eq!(fast.scrub_stats(), slow.scrub_stats());
+    }
+
     #[test]
     fn fast_forward_is_bit_identical_to_per_cycle_stepping() {
         for kind in [
@@ -503,23 +525,35 @@ mod tests {
                 cleaning_interval: 4096,
             },
         ] {
-            let mut fast = tiny_system(kind);
-            fast.enable_scrubbing(64);
-            let mut slow = tiny_system(kind);
-            slow.enable_scrubbing(64);
-
-            fast.run(0, 40_000);
-            for now in 0..40_000 {
-                slow.step(now);
+            let make = || {
+                let mut sys = tiny_system(kind);
+                sys.enable_scrubbing(64);
+                sys
+            };
+            assert_fast_forward_identical(make(), make(), 40_000);
+        }
+        // The Table 1 machine under calibrated workloads, where long
+        // memory stalls let the fast-forward skip most cycles.
+        for bench in [Benchmark::Mcf, Benchmark::Swim, Benchmark::Gzip] {
+            for kind in [
+                SchemeKind::Uniform,
+                SchemeKind::UniformWithCleaning {
+                    cleaning_interval: 64 * 1024,
+                },
+                SchemeKind::Proposed {
+                    cleaning_interval: 1 << 20,
+                },
+            ] {
+                let make = || {
+                    System::new(
+                        CoreConfig::date2006(),
+                        HierarchyConfig::date2006(),
+                        kind,
+                        bench.generator(2006),
+                    )
+                };
+                assert_fast_forward_identical(make(), make(), 200_000);
             }
-            assert_eq!(fast.cpu.stats(), slow.cpu.stats());
-            assert_eq!(fast.hier.l2().stats(), slow.hier.l2().stats());
-            assert_eq!(fast.hier.ops(), slow.hier.ops());
-            assert_eq!(
-                fast.hier.l2().dirty_line_count(),
-                slow.hier.l2().dirty_line_count()
-            );
-            assert_eq!(fast.scrub_stats(), slow.scrub_stats());
         }
     }
 

@@ -42,6 +42,10 @@ pub mod trace;
 pub mod workload;
 pub mod zipf;
 
+/// The stream trait every generator here implements, re-exported so a
+/// caller can draw ops from a generator without naming `aep-cpu`.
+pub use aep_cpu::InstrStream;
+
 pub use adversarial::{AdversarialSpec, AdversarialStream};
 pub use bench::{BenchKind, Benchmark};
 pub use model::{Generator, InstrMix, Pattern, Region, WorkloadSpec};

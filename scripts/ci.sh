@@ -15,6 +15,17 @@ cd "$(dirname "$0")/.."
 
 timings=()
 
+# The benchmark package (perfbench/) builds against the workspace crates
+# by path but sits outside the workspace: build it, run its corruption
+# self-tests, and require a short `figures` run to check out correct.
+perfbench_figures() {
+  local out
+  out="$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload figures --seconds 1 --trace 0)"
+  echo "$out" | tail -n 1
+  echo "$out" | tail -n 1 | grep -q '"correct":true'
+}
+
 step() {
   local label="$1"
   shift
@@ -38,6 +49,9 @@ step "workload diversity gate" \
   ./target/release/exp workloads report --check
 step "faults models gate (smoke)" scripts/faults_models.sh smoke
 step "serve smoke" scripts/serve_smoke.sh smoke
+step "perfbench self-tests" \
+  cargo test --release --offline --manifest-path perfbench/Cargo.toml
+step "perfbench figures (1 s)" perfbench_figures
 
 echo "==> ci: all green; per-step timing:"
 for t in "${timings[@]}"; do

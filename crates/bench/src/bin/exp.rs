@@ -307,27 +307,17 @@ fn main() {
             });
             let report = aep_bench::faults_bench::run_faults_bench(scale, faults_opts.trials, jobs);
             println!("{}", report.to_text());
-            let path = std::path::Path::new("BENCH_faults.json");
-            match std::fs::write(path, report.to_json()) {
-                Ok(()) => eprintln!("[faults-bench] wrote {}", path.display()),
-                Err(e) => {
-                    eprintln!("cannot write {}: {e}", path.display());
-                    std::process::exit(1);
-                }
-            }
             // 50%, not the engine harness's 20%: trials/Mcycle divides two
             // wall-clock measurements with different parallelism, so CPU
             // frequency jitter does not fully cancel. The floor catches
             // algorithmic regressions (a model going quadratic), not drift.
-            if let Some(floor) = floor_json {
-                match report.check_floor(&floor, 0.5) {
-                    Ok(msg) => eprintln!("[faults-bench] {msg}"),
-                    Err(msg) => {
-                        eprintln!("[faults-bench] FAIL: {msg}");
-                        std::process::exit(1);
-                    }
-                }
-            }
+            let verdict = floor_json.map(|floor| report.check_floor(&floor, 0.5));
+            finish_bench(
+                "faults-bench",
+                "BENCH_faults.json",
+                &report.to_json(),
+                verdict,
+            );
         }
         "run" => {
             let kind = scheme.unwrap_or_else(experiments::proposed);
@@ -440,6 +430,8 @@ fn usage() -> String {
      \x20 faults-bench  campaign-throughput harness: one fault campaign\n\
      \x20            per strike model, normalised trials/Mcycle\n\
      \x20            (BENCH_faults.json) [--trials N] [--check-floor FILE]\n\
+     \x20            (with --check-floor, neither harness writes its\n\
+     \x20            BENCH file: FILE stays the floor)\n\
      \x20 lanes      run the standard lane set, print per-lane stats\n\
      \x20            snapshots; [--serial] runs each lane independently\n\
      \x20            (outputs must be byte-identical)\n\
@@ -501,7 +493,6 @@ fn run_lanes_snapshot(scale: Scale, benchmark: &aep_workloads::Workload, serial:
 }
 
 fn run_engine_bench(scale: Scale, check_floor: Option<&std::path::Path>) {
-    // Read the committed floor *before* the run overwrites the file.
     let floor_json = check_floor.map(|path| {
         std::fs::read_to_string(path).unwrap_or_else(|e| {
             eprintln!("cannot read floor file {}: {e}", path.display());
@@ -510,22 +501,29 @@ fn run_engine_bench(scale: Scale, check_floor: Option<&std::path::Path>) {
     });
     let report = aep_bench::engine_bench::run_engine_bench(scale, aep_workloads::Benchmark::Gap);
     println!("{}", report.to_text());
-    let path = std::path::Path::new("BENCH_engine.json");
-    match std::fs::write(path, report.to_json()) {
-        Ok(()) => eprintln!("[bench] wrote {}", path.display()),
-        Err(e) => {
-            eprintln!("cannot write {}: {e}", path.display());
+    let verdict = floor_json.map(|floor| report.check_floor(&floor, 0.2));
+    finish_bench("bench", "BENCH_engine.json", &report.to_json(), verdict);
+}
+
+/// Ends a throughput harness run. A floor check (`verdict` is `Some`)
+/// leaves every file untouched — the committed floor stays the floor —
+/// and exits 1 on a regression; the fresh report is already on stdout.
+/// Without one, the JSON report is written to `file`, which is how a
+/// floor is re-baselined.
+fn finish_bench(tag: &str, file: &str, json: &str, verdict: Option<Result<String, String>>) {
+    match verdict {
+        Some(Ok(msg)) => eprintln!("[{tag}] {msg}"),
+        Some(Err(msg)) => {
+            eprintln!("[{tag}] FAIL: {msg}");
             std::process::exit(1);
         }
-    }
-    if let Some(floor) = floor_json {
-        match report.check_floor(&floor, 0.2) {
-            Ok(msg) => eprintln!("[bench] {msg}"),
-            Err(msg) => {
-                eprintln!("[bench] FAIL: {msg}");
+        None => match std::fs::write(file, json) {
+            Ok(()) => eprintln!("[{tag}] wrote {file}"),
+            Err(e) => {
+                eprintln!("cannot write {file}: {e}");
                 std::process::exit(1);
             }
-        }
+        },
     }
 }
 

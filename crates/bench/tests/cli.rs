@@ -572,3 +572,45 @@ fn submit_against_no_daemon_exits_1() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("cannot connect"), "stderr: {stderr}");
 }
+
+#[test]
+fn floor_checks_leave_the_floor_file_untouched() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    for (file, args) in [
+        (
+            "BENCH_engine.json",
+            &[
+                "bench",
+                "--scale",
+                "smoke",
+                "--check-floor",
+                "BENCH_engine.json",
+            ][..],
+        ),
+        (
+            "BENCH_faults.json",
+            &[
+                "faults-bench",
+                "--scale",
+                "smoke",
+                "--trials",
+                "200",
+                "--check-floor",
+                "BENCH_faults.json",
+            ][..],
+        ),
+    ] {
+        let work = TempWorkdir::new(&format!("floor-{file}"));
+        let floor = std::fs::read(root.join(file)).expect("read committed floor");
+        std::fs::write(work.0.join(file), &floor).expect("copy floor");
+        // Pass or fail (a debug build misses the speed floors), the
+        // check must only read the floor; the report goes to stdout.
+        let out = exp_in(&work.0, args);
+        let after = std::fs::read(work.0.join(file)).expect("floor still there");
+        assert!(after == floor, "{args:?} rewrote {file}");
+        assert!(
+            String::from_utf8_lossy(&out.stdout).contains("throughput"),
+            "{args:?} must print the fresh report"
+        );
+    }
+}

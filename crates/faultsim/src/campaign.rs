@@ -11,6 +11,14 @@
 //! array, and the system keeps executing until the upset is consumed by
 //! the scheme's detect/correct path or the per-trial horizon expires.
 //!
+//! # Trial resolution
+//!
+//! Each armed strike is waited out by [`System::run_until`], which
+//! fast-forwards over idle cycles and stops right after the L2 event that
+//! resolved the strike. That reproduces a cycle-by-cycle wait bit for bit
+//! (outcomes, resolution cycles, and the machine state each trial hands
+//! to the next); `run_chunk` gives the argument.
+//!
 //! # Determinism
 //!
 //! Trials are grouped into fixed-size chunks. Each chunk runs on a
@@ -233,11 +241,75 @@ fn warmed_prototype(cfg: &CampaignConfig) -> System<WorkloadStream> {
 }
 
 /// Runs one chunk of trials on a fork of the worker's warmed prototype.
+///
+/// Each armed strike is waited out by [`System::run_until`]: the machine
+/// fast-forwards between events exactly as in [`System::run`] and stops
+/// on the cycle whose L2 event resolved the strike. This is exact, not an
+/// approximation of the cycle-by-cycle walk: the [`StrikeProbe`] resolves
+/// only inside `pre_event`, L2 events occur only on stepped cycles, the
+/// probe keeps the default `next_event_after` (never forcing a step), and
+/// skipped cycles are booked through the same idle accounting `run`
+/// uses. So every trial resolves on the same cycle, with the same
+/// outcome, and leaves the same machine state for the next trial.
 fn run_chunk(cfg: &CampaignConfig, warm: &System<WorkloadStream>, chunk: usize) -> OutcomeTable {
+    let mut sys = warm.fork();
+    let mut table = OutcomeTable::default();
+    drive_chunk(cfg, &mut sys, chunk, await_resolution, |trial| {
+        table.record(trial.outcome, trial.struck, trial.dirty)
+    });
+    table
+}
+
+/// Runs `sys` from `now` until the armed strike resolves or `horizon`
+/// cycles pass, returning the next cycle and the probe's outcome, if any.
+fn await_resolution(
+    sys: &mut System<WorkloadStream>,
+    cell: &StrikeCell,
+    now: u64,
+    horizon: u64,
+) -> (u64, Option<TrialOutcome>) {
+    let mut outcome = None;
+    let now = sys.run_until(now, horizon, || {
+        outcome = cell.borrow_mut().take_outcome();
+        outcome.is_some()
+    });
+    (now, outcome)
+}
+
+/// One finished trial, as [`drive_chunk`] reports it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Trial {
+    /// How the strike resolved.
+    outcome: TrialOutcome,
+    /// Whether the strike landed on a valid line (and was armed).
+    struck: bool,
+    /// Whether the struck line was dirty when it was hit.
+    dirty: bool,
+    /// The cycle the chunk resumes at after this trial.
+    resumes_at: u64,
+}
+
+/// Drives one chunk's trials on `sys`, a fork of the warmed prototype.
+///
+/// `wait(sys, cell, now, horizon)` runs the machine from `now` until the
+/// armed strike resolves or `cfg.horizon_cycles` pass, returning the next
+/// cycle and the outcome if the probe produced one (the campaign passes
+/// [`await_resolution`]); a strike still pending afterwards is
+/// force-resolved by [`finalize_at_horizon`]. `trial` sees every trial in
+/// order.
+fn drive_chunk<W, T>(
+    cfg: &CampaignConfig,
+    sys: &mut System<WorkloadStream>,
+    chunk: usize,
+    mut wait: W,
+    mut trial: T,
+) where
+    W: FnMut(&mut System<WorkloadStream>, &StrikeCell, u64, u64) -> (u64, Option<TrialOutcome>),
+    T: FnMut(Trial),
+{
     let done = chunk as u64 * u64::from(cfg.trials_per_chunk);
     let trials_here = u64::from(cfg.trials_per_chunk).min(u64::from(cfg.trials) - done);
 
-    let mut sys = warm.fork();
     let cell: StrikeCell = Rc::new(RefCell::new(StrikeState::default()));
     sys.add_observer(Box::new(StrikeProbe::new(Rc::clone(&cell))));
     let layout = cfg.layout();
@@ -248,7 +320,6 @@ fn run_chunk(cfg: &CampaignConfig, warm: &System<WorkloadStream>, chunk: usize) 
     let mut rng = SmallRng::seed_from_u64(chunk_seed);
     let mut injector = FaultInjector::with_seed(mix64(chunk_seed));
 
-    let mut table = OutcomeTable::default();
     for _ in 0..trials_here {
         // Exponential inter-arrival gap (inverse-CDF on [0,1), min 1 cycle).
         let u: f64 = rng.gen();
@@ -264,7 +335,12 @@ fn run_chunk(cfg: &CampaignConfig, warm: &System<WorkloadStream>, chunk: usize) 
         if !view.valid {
             // Strikes on empty frames are benign; counting them keeps the
             // empirical rates normalised over the whole array.
-            table.record(TrialOutcome::Masked, false, false);
+            trial(Trial {
+                outcome: TrialOutcome::Masked,
+                struck: false,
+                dirty: false,
+                resumes_at: now,
+            });
             continue;
         }
         let snapshot: Box<[u64]> = sys
@@ -290,20 +366,16 @@ fn run_chunk(cfg: &CampaignConfig, warm: &System<WorkloadStream>, chunk: usize) 
             snapshot,
         });
 
-        let deadline = now + cfg.horizon_cycles;
-        let mut outcome = None;
-        while now < deadline {
-            sys.step(now);
-            now += 1;
-            if let Some(o) = cell.borrow_mut().take_outcome() {
-                outcome = Some(o);
-                break;
-            }
-        }
-        let outcome = outcome.unwrap_or_else(|| finalize_at_horizon(&mut sys, &cell));
-        table.record(outcome, true, dirty);
+        let (resumes_at, outcome) = wait(sys, &cell, now, cfg.horizon_cycles);
+        now = resumes_at;
+        let outcome = outcome.unwrap_or_else(|| finalize_at_horizon(sys, &cell));
+        trial(Trial {
+            outcome,
+            struck: true,
+            dirty,
+            resumes_at,
+        });
     }
-    table
 }
 
 /// Force-resolves a strike that nothing consumed within the horizon.
@@ -368,6 +440,124 @@ mod tests {
 
     fn cfg(scheme: SchemeKind) -> CampaignConfig {
         CampaignConfig::fast_test(Benchmark::Swim, scheme)
+    }
+
+    /// The reference wait: step every cycle and poll the probe after each,
+    /// as the campaign did before it waited through `run_until`.
+    fn await_per_cycle(
+        sys: &mut System<WorkloadStream>,
+        cell: &StrikeCell,
+        mut now: u64,
+        horizon: u64,
+    ) -> (u64, Option<TrialOutcome>) {
+        let deadline = now + horizon;
+        while now < deadline {
+            sys.step(now);
+            now += 1;
+            if let Some(o) = cell.borrow_mut().take_outcome() {
+                return (now, Some(o));
+            }
+        }
+        (now, None)
+    }
+
+    /// Drives the first two chunks of `c` through both [`await_resolution`]
+    /// and [`await_per_cycle`] on forks of one warmed prototype, and
+    /// asserts that every trial (outcome and resume cycle) and the machine
+    /// state at chunk end agree. Returns the reference's horizon expiries.
+    fn assert_resolution_equivalent(c: &CampaignConfig) -> u64 {
+        let label = format!(
+            "{} {} {} il{} p{} h{}",
+            c.benchmark.name(),
+            aep_core::scheme_slug(c.scheme),
+            c.model.slug(),
+            c.interleave,
+            c.p_double,
+            c.horizon_cycles
+        );
+        let warm = warmed_prototype(c);
+        let mut expiries = 0;
+        for chunk in 0..2 {
+            let (mut fast, mut slow) = (warm.fork(), warm.fork());
+            let (mut fast_log, mut slow_log) = (Vec::new(), Vec::new());
+            drive_chunk(c, &mut fast, chunk, await_resolution, |t| fast_log.push(t));
+            drive_chunk(
+                c,
+                &mut slow,
+                chunk,
+                |sys, cell, now, horizon| {
+                    let (next, outcome) = await_per_cycle(sys, cell, now, horizon);
+                    expiries += u64::from(outcome.is_none());
+                    (next, outcome)
+                },
+                |t| slow_log.push(t),
+            );
+            assert_eq!(fast_log, slow_log, "{label} chunk {chunk}: trials");
+            assert_eq!(fast.cpu.stats(), slow.cpu.stats(), "{label} chunk {chunk}");
+            assert_eq!(
+                fast.hier.l2().stats(),
+                slow.hier.l2().stats(),
+                "{label} chunk {chunk}"
+            );
+            assert_eq!(fast.hier.ops(), slow.hier.ops(), "{label} chunk {chunk}");
+            assert_eq!(
+                fast.hier.l2().dirty_line_count(),
+                slow.hier.l2().dirty_line_count(),
+                "{label} chunk {chunk}"
+            );
+        }
+        expiries
+    }
+
+    #[test]
+    fn event_driven_resolution_matches_per_cycle_stepping() {
+        let schemes = [
+            SchemeKind::Uniform,
+            SchemeKind::ParityOnly,
+            SchemeKind::Proposed {
+                cleaning_interval: 1 << 20,
+            },
+            SchemeKind::ProposedMulti {
+                cleaning_interval: 1 << 20,
+                entries_per_set: 2,
+            },
+            SchemeKind::SilentWriteEcc {
+                cleaning_interval: 1 << 20,
+            },
+        ];
+        let models = [
+            (StrikeModel::Single, 1),
+            (StrikeModel::Burst { width: 2 }, 1),
+            (StrikeModel::Col { span: 4 }, 1),
+            (StrikeModel::Col { span: 4 }, 4),
+            (StrikeModel::parse("accum:scrub").expect("known slug"), 1),
+        ];
+        for bench in [Benchmark::Gap, Benchmark::Swim] {
+            for scheme in schemes {
+                for (model, interleave) in models {
+                    let mut c = CampaignConfig::fast_test(bench, scheme);
+                    c.model = model;
+                    c.interleave = interleave;
+                    assert_resolution_equivalent(&c);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn event_driven_resolution_matches_at_horizon_expiry_and_double_flips() {
+        let proposed = SchemeKind::Proposed {
+            cleaning_interval: 1 << 20,
+        };
+        let mut short = CampaignConfig::fast_test(Benchmark::Gap, proposed);
+        short.horizon_cycles = 64;
+        assert!(
+            assert_resolution_equivalent(&short) > 0,
+            "a 64-cycle horizon must leave some strike to finalize_at_horizon"
+        );
+        let mut doubles = CampaignConfig::fast_test(Benchmark::Swim, SchemeKind::Uniform);
+        doubles.p_double = 0.5;
+        assert_resolution_equivalent(&doubles);
     }
 
     #[test]

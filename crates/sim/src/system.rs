@@ -392,10 +392,34 @@ impl<S: InstrStream> System<S> {
     /// [`SystemObserver::next_event_after`], which forces the loop back
     /// to single stepping.
     pub fn run(&mut self, start: Cycle, cycles: u64) -> Cycle {
+        self.run_until(start, cycles, || false)
+    }
+
+    /// Runs like [`System::run`], but stops early once `done` reports
+    /// true, returning the next cycle to step.
+    ///
+    /// `done` is asked after every stepped cycle. If it answers true
+    /// after stepping cycle `c`, the loop returns `c + 1` at once,
+    /// without fast-forwarding past `c`, so the machine is exactly where
+    /// a cycle-by-cycle walk through `c` leaves it. Otherwise the run
+    /// returns `start + cycles`, as `run` does. The stop test only ever
+    /// sees stepped cycles, so it suits conditions raised by L2 events or
+    /// observers (which fire only on stepped cycles); a condition that
+    /// can become true on a skipped cycle needs an observer whose
+    /// [`SystemObserver::next_event_after`] names that cycle.
+    pub fn run_until(
+        &mut self,
+        start: Cycle,
+        cycles: u64,
+        mut done: impl FnMut() -> bool,
+    ) -> Cycle {
         let end = start + cycles;
         let mut now = start;
         while now < end {
             self.step(now);
+            if done() {
+                return now + 1;
+            }
             let next = self.next_event_after(now).min(end);
             if next > now + 1 {
                 self.cpu.account_idle_cycles(now + 1, next - now - 1);
@@ -441,6 +465,8 @@ mod tests {
     use aep_cpu::isa::{LoopStream, MicroOp};
     use aep_mem::Addr;
     use aep_workloads::Benchmark;
+    use std::cell::Cell;
+    use std::rc::Rc;
 
     fn store_heavy_stream() -> LoopStream {
         // Stores sweeping several L2 sets, plus filler.
@@ -496,17 +522,22 @@ mod tests {
         );
     }
 
-    /// Runs `fast` through [`System::run`] and `slow` one `step` per
-    /// cycle and asserts that both end in the same state.
+    /// Runs `fast` through [`System::run_until`] with a stop test that
+    /// never fires (which is all [`System::run`] does) and `slow` one
+    /// `step` per cycle, and asserts that both end in the same state.
     fn assert_fast_forward_identical<S: InstrStream>(
         mut fast: System<S>,
         mut slow: System<S>,
         cycles: u64,
     ) {
-        fast.run(0, cycles);
+        assert_eq!(fast.run_until(0, cycles, || false), cycles);
         for now in 0..cycles {
             slow.step(now);
         }
+        assert_same_state(&fast, &slow);
+    }
+
+    fn assert_same_state<S: InstrStream>(fast: &System<S>, slow: &System<S>) {
         assert_eq!(fast.cpu.stats(), slow.cpu.stats());
         assert_eq!(fast.hier.l2().stats(), slow.hier.l2().stats());
         assert_eq!(fast.hier.ops(), slow.hier.ops());
@@ -555,6 +586,67 @@ mod tests {
                 assert_fast_forward_identical(make(), make(), 200_000);
             }
         }
+    }
+
+    /// Records the cycle of the first L2 eviction it sees.
+    struct FirstEvict(Rc<Cell<Option<Cycle>>>);
+
+    impl SystemObserver for FirstEvict {
+        fn post_event(
+            &mut self,
+            event: &L2Event,
+            _hier: &MemoryHierarchy,
+            _scheme: &dyn ProtectionScheme,
+            now: Cycle,
+        ) {
+            if matches!(event, L2Event::Evict { .. }) && self.0.get().is_none() {
+                self.0.set(Some(now));
+            }
+        }
+    }
+
+    #[test]
+    fn run_until_stops_on_the_cycle_after_the_condition() {
+        // A calibrated stream on the tiny hierarchy: long memory stalls
+        // to fast-forward over, and evictions within a few thousand cycles.
+        let make = || {
+            let first = Rc::new(Cell::new(None));
+            let mut sys = System::new(
+                CoreConfig::date2006(),
+                HierarchyConfig::tiny(),
+                SchemeKind::Proposed {
+                    cleaning_interval: 4096,
+                },
+                Benchmark::Mcf.generator(2006),
+            );
+            sys.add_observer(Box::new(FirstEvict(Rc::clone(&first))));
+            (sys, first)
+        };
+        let (mut fast, fast_first) = make();
+        let stopped = fast.run_until(0, 1_000_000, || fast_first.get().is_some());
+        let c = fast_first.get().expect("the tiny L2 evicts within the run");
+        assert_eq!(stopped, c + 1);
+
+        let (mut slow, slow_first) = make();
+        for now in 0..=c {
+            slow.step(now);
+        }
+        assert_eq!(slow_first.get(), Some(c), "the first eviction is at c");
+        assert_same_state(&fast, &slow);
+    }
+
+    #[test]
+    fn run_until_with_zero_cycles_does_not_step() {
+        let mut sys = tiny_system(SchemeKind::Uniform);
+        let mut asked = 0;
+        let next = sys.run_until(7, 0, || {
+            asked += 1;
+            true
+        });
+        assert_eq!(next, 7);
+        assert_eq!(asked, 0, "no cycle was stepped, so none was tested");
+        assert_eq!(sys.cpu.stats().fetched, 0);
+        assert_eq!(sys.hier.ops(), tiny_system(SchemeKind::Uniform).hier.ops());
     }
 
     #[test]

@@ -17,11 +17,12 @@ timings=()
 
 # The benchmark package (perfbench/) builds against the workspace crates
 # by path but sits outside the workspace: build it, run its corruption
-# self-tests, and require a short `figures` run to check out correct.
-perfbench_figures() {
+# self-tests, and require short `figures` and `campaign` runs to check
+# out correct.
+perfbench_workload() {
   local out
   out="$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
-    --workload figures --seconds 1 --trace 0)"
+    --workload "$1" --seconds 1 --trace 0)"
   echo "$out" | tail -n 1
   echo "$out" | tail -n 1 | grep -q '"correct":true'
 }
@@ -51,7 +52,8 @@ step "faults models gate (smoke)" scripts/faults_models.sh smoke
 step "serve smoke" scripts/serve_smoke.sh smoke
 step "perfbench self-tests" \
   cargo test --release --offline --manifest-path perfbench/Cargo.toml
-step "perfbench figures (1 s)" perfbench_figures
+step "perfbench figures (1 s)" perfbench_workload figures
+step "perfbench campaign (1 s)" perfbench_workload campaign
 
 echo "==> ci: all green; per-step timing:"
 for t in "${timings[@]}"; do

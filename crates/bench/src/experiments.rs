@@ -21,7 +21,7 @@ use std::collections::HashMap;
 use aep_core::SchemeKind;
 use aep_faultsim::fan_out;
 // The execute-tier planner (`LaneJob` + `plan_lane_jobs`) lives in
-// `aep_sim::lanes` now — the `exp serve` daemon's scheduler batches
+// `aep_sim::lanes` now — the `exp serve` daemon's workers batch
 // concurrent clients' submissions through the same code path.
 use aep_sim::{LaneJob, RunStats, Runner, Table};
 use aep_workloads::calibration::CHOSEN_INTERVAL;

@@ -230,11 +230,18 @@ enum Json {
     Number(String),
 }
 
+/// Deepest object nesting the snapshot parser accepts. It recurses once
+/// per level, so without a limit a short run of `{"a":` would overflow
+/// the parsing thread's stack; a snapshot nests three levels.
+const MAX_DEPTH: usize = 64;
+
 /// Minimal recursive-descent parser for the subset of JSON that snapshots
 /// use: objects, strings, and numbers.
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Objects open around the current position.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -242,6 +249,7 @@ impl<'a> Parser<'a> {
         Self {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         }
     }
 
@@ -257,7 +265,16 @@ impl<'a> Parser<'a> {
     fn parse_value(&mut self) -> Result<Json, String> {
         self.skip_ws();
         match self.peek()? {
-            b'{' => self.parse_object(),
+            b'{' if self.depth == MAX_DEPTH => Err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            )),
+            b'{' => {
+                self.depth += 1;
+                let value = self.parse_object();
+                self.depth -= 1;
+                value
+            }
             b'"' => Ok(Json::String(self.parse_string()?)),
             b'-' | b'0'..=b'9' => self.parse_number(),
             other => Err(format!(
@@ -458,5 +475,17 @@ mod tests {
         assert!(StatsSnapshot::from_json("not json").is_err());
         assert!(StatsSnapshot::from_json("{\"version\": 1").is_err());
         assert!(StatsSnapshot::from_json("").is_err());
+    }
+
+    #[test]
+    fn nesting_is_limited() {
+        // Far past the limit the parser stops at the limit, so it never
+        // recurses deep enough to exhaust a thread's stack.
+        let deep = "{\"a\":".repeat(100_000);
+        let err = StatsSnapshot::from_json(&deep).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "{err}");
+        let at_limit = format!("{}1{}", "{\"a\":".repeat(MAX_DEPTH), "}".repeat(MAX_DEPTH));
+        let err = StatsSnapshot::from_json(&at_limit).unwrap_err();
+        assert!(!err.contains("nesting"), "{err}");
     }
 }

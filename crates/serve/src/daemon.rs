@@ -11,10 +11,10 @@
 //!   writes results back *in submission order*, so clients may pipeline
 //!   requests and match responses positionally or by `id`.
 //!
-//! Fast outcomes (memo hits, sheds, protocol errors, `ping`, `stats`)
-//! are answered inline by the reader; only admitted runs travel through
-//! the responder. A per-connection in-flight cap bounds how much of the
-//! engine's queue any one client can own.
+//! Fast outcomes (memo and disk hits, sheds, protocol errors, `ping`,
+//! `stats`) are answered inline by the reader; only admitted runs travel
+//! through the responder. A per-connection in-flight cap bounds how much
+//! of the engine's queue any one client can own.
 //!
 //! Shutdown is protocol-driven: a `shutdown` request flips the drain
 //! flag, the acceptor stops accepting, every admitted run completes and
@@ -35,7 +35,7 @@ use std::time::Duration;
 use crate::engine::{Engine, EngineConfig, Submission, Ticket};
 use crate::protocol::{
     render_bye, render_error, render_pong, render_result, render_snapshot, ErrorCode, Request,
-    Source, MAX_LINE_BYTES,
+    MAX_LINE_BYTES,
 };
 
 /// How often blocked readers and the acceptor wake to check the stop
@@ -156,11 +156,9 @@ pub fn spawn(cfg: DaemonConfig) -> io::Result<ServeHandle> {
             .spawn(move || {
                 accept_loop(&tcp, &unix, &engine, &shutdown, &stopped, client_cap);
                 // All listeners are closed; drain the engine so every
-                // admitted run is delivered before we report stopped.
-                match Arc::try_unwrap(engine) {
-                    Ok(engine) => engine.join(),
-                    Err(engine) => engine.begin_drain(), // a connection thread still holds a ref
-                }
+                // admitted run is delivered and written back before we
+                // report stopped.
+                engine.join();
                 stopped.store(true, Ordering::SeqCst);
                 #[cfg(unix)]
                 if let Some(path) = &unix_path {
@@ -283,7 +281,7 @@ fn accept_loop(
 /// come back in strict request order: a pipelined `shutdown` can never
 /// overtake the result of a submit queued before it.
 enum Reply {
-    /// Already rendered (pongs, errors, memo hits, snapshots, bye).
+    /// Already rendered (pongs, errors, cache hits, snapshots, bye).
     Ready(String),
     /// An admitted run; the responder blocks on the ticket.
     Pending {
@@ -439,7 +437,7 @@ fn reader_loop(
 }
 
 /// Handles one submit: resolve the scale/config, enforce the client
-/// cap, and produce either a ready answer (memo hit or shed) or the
+/// cap, and produce either a ready answer (cache hit or shed) or the
 /// ticket the responder will block on.
 fn submit(
     engine: &Engine,
@@ -465,8 +463,8 @@ fn submit(
         ));
     }
     match engine.submit(scale, cfg) {
-        Submission::Ready { key, stats } => {
-            Reply::Ready(render_result(id, &key, Source::Memo, 0, &stats))
+        Submission::Ready { key, stats, source } => {
+            Reply::Ready(render_result(id, &key, source, 0, &stats))
         }
         Submission::Pending { key, ticket } => {
             inflight.fetch_add(1, Ordering::SeqCst);

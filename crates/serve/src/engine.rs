@@ -10,26 +10,40 @@
 //! * **Admission control.** The number of admitted-but-unfinished runs
 //!   is bounded (`queue_depth`); past it, submissions shed with a typed
 //!   busy outcome instead of queueing unboundedly. Draining engines shed
-//!   everything.
+//!   everything that would need a worker.
 //! * **Deduplication.** A submission whose key is already in flight
 //!   subscribes to the existing execution instead of starting another —
 //!   N clients asking for the same configuration cost one simulation.
 //!
-//! Admitted misses flow through a scheduler thread that probes the disk
-//! tier and groups the remainder with [`aep_sim::plan_lane_jobs`] — the
-//! same planner the `Lab` uses — so concurrent clients' directive-free
-//! configurations batch onto shared lanes. Workers execute the planned
-//! jobs and fulfill every subscribed waiter.
+//! Both cache tiers answer on the submitting thread: a memo or disk hit
+//! returns [`Submission::Ready`] and never waits for a worker, is not
+//! admitted, and takes no queue depth. Only misses are admitted.
+//!
+//! The pool is work-conserving; there is no scheduler thread and no
+//! coalescing delay. An idle worker takes the whole `pending` list,
+//! groups it with [`aep_sim::plan_lane_jobs`] — the same planner the
+//! `Lab` uses — runs the first job itself, and leaves the rest in a
+//! `ready` queue for the next free worker. While every worker is busy,
+//! submissions pile up in `pending`, so the next free worker plans them
+//! together: under load, concurrent clients' directive-free
+//! configurations still batch onto shared lanes, and when a worker is
+//! idle nobody waits. The price is paid by bursts that reach an idle
+//! pool: each idle worker starts the first miss it sees on its own,
+//! before the burst's later, lane-compatible misses arrive, so only
+//! the rest of the burst shares a trajectory. A finished run is
+//! published to the memo and its waiters are woken before the worker
+//! writes it back to disk; [`Engine::join`] returns only after every
+//! write-back.
 //!
 //! Everything is observable: counters and per-stage latency histograms
 //! publish under the `serve.*` scope via [`Engine::snapshot_json`].
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use aep_obs::{Histogram, Registry, StatsSnapshot};
 use aep_sim::runcache::RunCache;
@@ -40,11 +54,6 @@ use crate::protocol::Source;
 /// Memo shard count: cache-hit lookups contend only within a shard, so
 /// the hot path of a warm daemon stays parallel across client threads.
 const MEMO_SHARDS: usize = 16;
-
-/// How long the scheduler lingers after the first pending submission
-/// before planning, so near-simultaneous submissions from concurrent
-/// clients coalesce into one lane-batched plan.
-const COALESCE_WINDOW: Duration = Duration::from_micros(500);
 
 /// Engine sizing and policy.
 #[derive(Debug)]
@@ -79,12 +88,14 @@ impl EngineConfig {
 
 /// What happened to a submission at admission time.
 pub enum Submission {
-    /// Resolved instantly from the memo.
+    /// Resolved instantly from a cache tier.
     Ready {
         /// The run-cache key it resolved to.
         key: String,
-        /// The memoized result.
+        /// The cached result.
         stats: Arc<RunStats>,
+        /// The tier that held it: [`Source::Memo`] or [`Source::Disk`].
+        source: Source,
     },
     /// Admitted (or deduplicated onto an in-flight run); wait on the
     /// ticket for the result.
@@ -143,9 +154,12 @@ struct Inflight {
 }
 
 struct SchedState {
+    /// Admitted runs no worker has planned yet.
     pending: Vec<PendingRun>,
+    /// Planned jobs waiting for a free worker.
+    ready: VecDeque<Job>,
     inflight: HashMap<String, Inflight>,
-    /// Admitted-but-unfinished runs (pending + executing distinct keys).
+    /// Admitted-but-unfinished runs (pending, planned or executing).
     depth: usize,
     draining: bool,
 }
@@ -183,26 +197,24 @@ struct Shared {
     wait_us: Mutex<Histogram>,
     exec_us: Mutex<Histogram>,
     total_us: Mutex<Histogram>,
+    persist_us: Mutex<Histogram>,
 }
 
-enum WorkItem {
-    Solo(Box<PendingRun>),
-    Batch {
-        cfg: Box<ExperimentConfig>,
-        specs: Vec<LaneSpec>,
-        runs: Vec<PendingRun>,
-    },
+/// A planned job: one solo run, or a lane batch whose runs share one
+/// trajectory (`lanes` holds the batch's base config and lane specs).
+struct Job {
+    runs: Vec<PendingRun>,
+    lanes: Option<(Box<ExperimentConfig>, Vec<LaneSpec>)>,
 }
 
-/// The persistent engine: memo + disk cache + scheduler + worker pool.
+/// The persistent engine: memo + disk cache + worker pool.
 pub struct Engine {
     shared: Arc<Shared>,
-    scheduler: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
+    workers: Mutex<Vec<JoinHandle<()>>>,
 }
 
 impl Engine {
-    /// Starts the engine: one scheduler thread plus `jobs` workers.
+    /// Starts the engine's `jobs` workers.
     #[must_use]
     pub fn new(cfg: EngineConfig) -> Self {
         let jobs = cfg.jobs.max(1);
@@ -217,6 +229,7 @@ impl Engine {
                 .collect(),
             sched: Mutex::new(SchedState {
                 pending: Vec::new(),
+                ready: VecDeque::new(),
                 inflight: HashMap::new(),
                 depth: 0,
                 draining: false,
@@ -226,30 +239,20 @@ impl Engine {
             wait_us: Mutex::new(Histogram::new()),
             exec_us: Mutex::new(Histogram::new()),
             total_us: Mutex::new(Histogram::new()),
+            persist_us: Mutex::new(Histogram::new()),
         });
-        let (tx, rx) = mpsc::channel::<WorkItem>();
-        let rx = Arc::new(Mutex::new(rx));
         let workers = (0..jobs)
             .map(|i| {
                 let shared = Arc::clone(&shared);
-                let rx = Arc::clone(&rx);
                 std::thread::Builder::new()
                     .name(format!("serve-worker-{i}"))
-                    .spawn(move || worker_loop(&shared, &rx))
+                    .spawn(move || worker_loop(&shared))
                     .expect("spawn worker")
             })
             .collect();
-        let scheduler = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("serve-scheduler".into())
-                .spawn(move || scheduler_loop(&shared, &tx))
-                .expect("spawn scheduler")
-        };
         Engine {
             shared,
-            scheduler: Some(scheduler),
-            workers,
+            workers: Mutex::new(workers),
         }
     }
 
@@ -259,15 +262,27 @@ impl Engine {
         self.shared.scale
     }
 
-    /// Submits one configuration, resolving it against the memo or
-    /// admitting it (with dedup) into the execution pipeline.
+    /// Submits one configuration, resolving it against the memo and
+    /// disk tiers or admitting it (with dedup) for a worker.
     #[must_use]
     pub fn submit(&self, scale: Scale, cfg: ExperimentConfig) -> Submission {
         let shared = &*self.shared;
         let key = RunCache::key(scale.name(), &cfg);
         if let Some(stats) = shared.memo_get(&key) {
             shared.counters.memo_hits.fetch_add(1, Ordering::Relaxed);
-            return Submission::Ready { key, stats };
+            return Submission::Ready {
+                key,
+                stats,
+                source: Source::Memo,
+            };
+        }
+        if let Some(stats) = shared.disk_get(&key) {
+            shared.counters.disk_hits.fetch_add(1, Ordering::Relaxed);
+            return Submission::Ready {
+                key,
+                stats,
+                source: Source::Disk,
+            };
         }
         let mut s = shared.sched.lock().expect("scheduler state poisoned");
         if let Some(inflight) = s.inflight.get_mut(&key) {
@@ -284,7 +299,11 @@ impl Engine {
         // in-flight entry, so re-checking here under the lock is enough.
         if let Some(stats) = shared.memo_get(&key) {
             shared.counters.memo_hits.fetch_add(1, Ordering::Relaxed);
-            return Submission::Ready { key, stats };
+            return Submission::Ready {
+                key,
+                stats,
+                source: Source::Memo,
+            };
         }
         if s.draining {
             shared
@@ -319,7 +338,7 @@ impl Engine {
             cfg,
             admitted: Instant::now(),
         });
-        shared.work_ready.notify_all();
+        shared.work_ready.notify_one();
         Submission::Pending {
             key,
             ticket: Ticket { cell },
@@ -337,7 +356,7 @@ impl Engine {
         cfg: ExperimentConfig,
     ) -> Result<(String, Arc<RunStats>, Source), String> {
         match self.submit(scale, cfg) {
-            Submission::Ready { key, stats } => Ok((key, stats, Source::Memo)),
+            Submission::Ready { key, stats, source } => Ok((key, stats, source)),
             Submission::Pending { key, ticket } => {
                 let (stats, source, _) = ticket.wait()?;
                 Ok((key, stats, source))
@@ -358,22 +377,20 @@ impl Engine {
     }
 
     /// Begins the graceful drain: every already-admitted run completes
-    /// and fulfills its waiters; new submissions shed with
-    /// [`Submission::Draining`]. Idempotent.
+    /// and fulfills its waiters; new submissions that miss both cache
+    /// tiers shed with [`Submission::Draining`]. Idempotent.
     pub fn begin_drain(&self) {
         let mut s = self.shared.sched.lock().expect("scheduler state poisoned");
         s.draining = true;
         self.shared.work_ready.notify_all();
     }
 
-    /// Drains and joins the scheduler and every worker. Call after
-    /// [`Engine::begin_drain`]; blocks until in-flight work finishes.
-    pub fn join(mut self) {
+    /// Drains and joins every worker: returns once every admitted run
+    /// has been delivered and written back to disk. Idempotent.
+    pub fn join(&self) {
         self.begin_drain();
-        if let Some(handle) = self.scheduler.take() {
-            let _ = handle.join();
-        }
-        for handle in self.workers.drain(..) {
+        let workers = std::mem::take(&mut *self.workers.lock().expect("worker list poisoned"));
+        for handle in workers {
             let _ = handle.join();
         }
     }
@@ -435,18 +452,14 @@ impl Engine {
             r.counter("queue_depth", depth as u64);
             r.counter("queue_limit", shared.queue_depth as u64);
             r.counter("queue_peak", count(&c.queue_peak));
-            r.histogram(
-                "wait_us",
-                &shared.wait_us.lock().expect("histogram poisoned"),
-            );
-            r.histogram(
-                "exec_us",
-                &shared.exec_us.lock().expect("histogram poisoned"),
-            );
-            r.histogram(
-                "total_us",
-                &shared.total_us.lock().expect("histogram poisoned"),
-            );
+            for (name, hist) in [
+                ("wait_us", &shared.wait_us),
+                ("exec_us", &shared.exec_us),
+                ("total_us", &shared.total_us),
+                ("persist_us", &shared.persist_us),
+            ] {
+                r.histogram(name, &hist.lock().expect("histogram poisoned"));
+            }
         });
         let jobs = shared.jobs.to_string();
         StatsSnapshot::from_registry(
@@ -476,13 +489,7 @@ impl Drop for Engine {
         // An engine dropped without `join` (tests, early daemon exit)
         // still drains so worker threads never outlive the process state
         // they borrow.
-        self.begin_drain();
-        if let Some(handle) = self.scheduler.take() {
-            let _ = handle.join();
-        }
-        for handle in self.workers.drain(..) {
-            let _ = handle.join();
-        }
+        self.join();
     }
 }
 
@@ -507,67 +514,112 @@ impl Shared {
             .cloned()
     }
 
-    /// Publishes a finished run: disk write-back (fresh runs), memo
-    /// insert, then waiter fulfillment. Memo-before-inflight-clear is
-    /// load-bearing: `submit` re-checks the memo under the scheduler
-    /// lock, so a key is always findable in at least one of the two.
-    fn complete(
-        &self,
-        key: &str,
-        stats: &Arc<RunStats>,
-        source: Source,
-        admitted: Instant,
-        started: Option<Instant>,
-    ) {
-        if source == Source::Fresh {
-            if let Some(disk) = &self.disk {
-                if let Err(e) = disk.store(key, stats) {
-                    eprintln!("[serve] warning: cannot write cache entry {key}: {e}");
-                }
-            }
-        }
-        let done = Instant::now();
-        let total_us = instant_us(admitted, done);
-        let (wait_us, exec_us) = match started {
-            Some(started) => (instant_us(admitted, started), instant_us(started, done)),
-            None => (total_us, 0),
-        };
-        record_us(&self.wait_us, wait_us);
-        record_us(&self.exec_us, exec_us);
-        record_us(&self.total_us, total_us);
+    fn memo_insert(&self, key: &str, stats: &Arc<RunStats>) {
         self.memo_shard(key)
             .lock()
             .expect("memo shard poisoned")
             .insert(key.to_string(), Arc::clone(stats));
-        let waiters = {
-            let mut s = self.sched.lock().expect("scheduler state poisoned");
-            s.depth -= 1;
-            s.inflight
-                .remove(key)
-                .map(|inflight| inflight.waiters)
-                .unwrap_or_default()
-        };
+    }
+
+    /// Disk tier: a recalled entry is promoted into the memo. An
+    /// unreadable entry is reported and treated as a miss, so the run is
+    /// simulated again and its write-back replaces the entry.
+    fn disk_get(&self, key: &str) -> Option<Arc<RunStats>> {
+        match self.disk.as_ref()?.load_checked(key) {
+            Ok(Some(stats)) => {
+                let stats = Arc::new(stats);
+                self.memo_insert(key, &stats);
+                Some(stats)
+            }
+            Ok(None) => None,
+            Err(e) => {
+                eprintln!("[serve] warning: cannot read cache entry {key}: {e} (re-simulating)");
+                None
+            }
+        }
+    }
+
+    /// Publishes a fresh run: memo insert, then waiter fulfillment.
+    /// Memo-before-inflight-clear is load-bearing: `submit` re-checks
+    /// the memo under the scheduler lock, so a key is always findable
+    /// in at least one of the two.
+    fn publish(&self, run: &PendingRun, stats: &Arc<RunStats>, started: Instant, done: Instant) {
+        let total_us = instant_us(run.admitted, done);
+        record_us(&self.wait_us, instant_us(run.admitted, started));
+        record_us(&self.exec_us, instant_us(started, done));
+        record_us(&self.total_us, total_us);
+        self.memo_insert(&run.key, stats);
+        let waiters = self.finish(&run.key);
         for cell in waiters {
             let mut slot = cell.slot.lock().expect("result cell poisoned");
-            *slot = Some(Ok((Arc::clone(stats), source, total_us)));
+            *slot = Some(Ok((Arc::clone(stats), Source::Fresh, total_us)));
             cell.ready.notify_all();
         }
     }
 
+    /// Writes a published run back to the disk tier (after its waiters
+    /// already have the reply).
+    fn persist(&self, key: &str, stats: &RunStats) {
+        let Some(disk) = &self.disk else {
+            return;
+        };
+        let started = Instant::now();
+        if let Err(e) = disk.store(key, stats) {
+            eprintln!("[serve] warning: cannot write cache entry {key}: {e}");
+        }
+        record_us(&self.persist_us, instant_us(started, Instant::now()));
+    }
+
     /// Fulfills every waiter of `key` with a failure (worker panic).
     fn fail(&self, key: &str, message: &str) {
-        let waiters = {
-            let mut s = self.sched.lock().expect("scheduler state poisoned");
-            s.depth -= 1;
-            s.inflight
-                .remove(key)
-                .map(|inflight| inflight.waiters)
-                .unwrap_or_default()
-        };
-        for cell in waiters {
+        for cell in self.finish(key) {
             let mut slot = cell.slot.lock().expect("result cell poisoned");
             *slot = Some(Err(message.to_string()));
             cell.ready.notify_all();
+        }
+    }
+
+    /// Retires `key` from the queue, returning its waiters.
+    fn finish(&self, key: &str) -> Vec<Arc<ResultCell>> {
+        let mut s = self.sched.lock().expect("scheduler state poisoned");
+        s.depth -= 1;
+        s.inflight
+            .remove(key)
+            .map(|inflight| inflight.waiters)
+            .unwrap_or_default()
+    }
+
+    /// Blocks until there is a job for this worker, planning the
+    /// pending runs when no planned job is left. `None` once the engine
+    /// is draining and idle.
+    fn next_job(&self) -> Option<Job> {
+        let mut s = self.sched.lock().expect("scheduler state poisoned");
+        loop {
+            if let Some(job) = s.ready.pop_front() {
+                if !s.ready.is_empty() {
+                    self.work_ready.notify_one();
+                }
+                return Some(job);
+            }
+            if !s.pending.is_empty() {
+                // Plan outside the lock (the planner is quadratic in the
+                // pending runs), run the first job, hand the rest to the
+                // next idle worker.
+                let runs = std::mem::take(&mut s.pending);
+                drop(s);
+                let mut jobs = plan(runs).into_iter();
+                let first = jobs.next().expect("pending runs plan to at least one job");
+                let mut s = self.sched.lock().expect("scheduler state poisoned");
+                s.ready.extend(jobs);
+                if !s.ready.is_empty() {
+                    self.work_ready.notify_one();
+                }
+                return Some(first);
+            }
+            if s.draining {
+                return None;
+            }
+            s = self.work_ready.wait(s).expect("scheduler state poisoned");
         }
     }
 }
@@ -580,131 +632,50 @@ fn record_us(hist: &Mutex<Histogram>, value: u64) {
     hist.lock().expect("histogram poisoned").record(value);
 }
 
-/// The scheduler: waits for pending submissions, lingers one coalescing
-/// window, probes the disk tier, lane-plans the misses, and dispatches
-/// owned work items to the worker channel. Exits (dropping the sender,
-/// which winds down the workers) once draining *and* idle.
-fn scheduler_loop(shared: &Shared, tx: &mpsc::Sender<WorkItem>) {
-    loop {
-        {
-            let mut s = shared.sched.lock().expect("scheduler state poisoned");
-            loop {
-                if !s.pending.is_empty() {
-                    break;
-                }
-                if s.draining {
-                    return; // sender drops; workers drain the channel and exit
-                }
-                s = shared.work_ready.wait(s).expect("scheduler state poisoned");
-            }
-        }
-        std::thread::sleep(COALESCE_WINDOW);
-        let batch = std::mem::take(
-            &mut shared
-                .sched
-                .lock()
-                .expect("scheduler state poisoned")
-                .pending,
-        );
-        if batch.is_empty() {
-            continue;
-        }
-        // Disk tier: recalled entries complete without touching a worker.
-        let mut misses: Vec<PendingRun> = Vec::with_capacity(batch.len());
-        for run in batch {
-            if let Some(disk) = &shared.disk {
-                match disk.load_checked(&run.key) {
-                    Ok(Some(stats)) => {
-                        shared.counters.disk_hits.fetch_add(1, Ordering::Relaxed);
-                        shared.complete(
-                            &run.key,
-                            &Arc::new(stats),
-                            Source::Disk,
-                            run.admitted,
-                            None,
-                        );
-                        continue;
-                    }
-                    Ok(None) => {}
-                    Err(e) => {
-                        eprintln!(
-                            "[serve] warning: cannot read cache entry {}: {e} (re-simulating)",
-                            run.key
-                        );
-                    }
-                }
-            }
-            misses.push(run);
-        }
-        if misses.is_empty() {
-            continue;
-        }
-        // Execute tier: group shareable-trajectory misses into lane
-        // batches — concurrent clients' compatible configs ride one
-        // cpu+hierarchy trajectory exactly like a figure plan's.
-        let cfgs: Vec<&ExperimentConfig> = misses.iter().map(|run| &run.cfg).collect();
-        let jobs = plan_lane_jobs(&cfgs);
-        let mut slots: Vec<Option<PendingRun>> = misses.into_iter().map(Some).collect();
-        for job in jobs {
-            let item = match job {
-                LaneJob::Solo(i) => {
-                    WorkItem::Solo(Box::new(slots[i].take().expect("solo index used once")))
-                }
-                LaneJob::Batch {
-                    cfg,
-                    specs,
-                    indices,
-                } => WorkItem::Batch {
-                    cfg,
-                    specs,
-                    runs: indices
-                        .into_iter()
-                        .map(|i| slots[i].take().expect("batch index used once"))
-                        .collect(),
-                },
-            };
-            if tx.send(item).is_err() {
-                return; // workers gone; nothing left to do
-            }
-        }
-    }
+/// Groups admitted runs into jobs: shareable-trajectory runs become lane
+/// batches — concurrent clients' compatible configs ride one
+/// cpu+hierarchy trajectory exactly like a figure plan's.
+fn plan(runs: Vec<PendingRun>) -> Vec<Job> {
+    let cfgs: Vec<&ExperimentConfig> = runs.iter().map(|run| &run.cfg).collect();
+    let jobs = plan_lane_jobs(&cfgs);
+    let mut slots: Vec<Option<PendingRun>> = runs.into_iter().map(Some).collect();
+    let mut take = |i: usize| slots[i].take().expect("each run is planned once");
+    jobs.into_iter()
+        .map(|job| match job {
+            LaneJob::Solo(i) => Job {
+                runs: vec![take(i)],
+                lanes: None,
+            },
+            LaneJob::Batch {
+                cfg,
+                specs,
+                indices,
+            } => Job {
+                runs: indices.into_iter().map(&mut take).collect(),
+                lanes: Some((cfg, specs)),
+            },
+        })
+        .collect()
 }
 
-/// One worker: pull planned jobs off the shared channel, simulate, and
-/// publish. A panicking simulation fails its waiters instead of hanging
-/// them (and the worker survives to take the next job).
-fn worker_loop(shared: &Shared, rx: &Arc<Mutex<mpsc::Receiver<WorkItem>>>) {
-    loop {
-        let item = {
-            let guard = rx.lock().expect("work channel poisoned");
-            guard.recv()
-        };
-        let Ok(item) = item else {
-            return; // channel closed: scheduler exited after drain
-        };
-        match item {
-            WorkItem::Solo(run) => {
+/// One worker: take the next job (planning it if needed), simulate,
+/// reply, then write back. A panicking simulation fails its waiters
+/// instead of hanging them (and the worker survives to take the next
+/// job).
+fn worker_loop(shared: &Shared) {
+    let counters = &shared.counters;
+    while let Some(Job { runs, lanes }) = shared.next_job() {
+        let started = Instant::now();
+        let outcome = match &lanes {
+            None => {
                 if shared.verbose {
-                    eprintln!("[serve] running {}", run.key);
+                    eprintln!("[serve] running {}", runs[0].key);
                 }
-                shared.counters.solo_runs.fetch_add(1, Ordering::Relaxed);
-                let started = Instant::now();
-                let cfg = run.cfg.clone();
-                match std::panic::catch_unwind(AssertUnwindSafe(|| Runner::new(cfg).run())) {
-                    Ok(stats) => {
-                        shared.counters.evaluated.fetch_add(1, Ordering::Relaxed);
-                        shared.complete(
-                            &run.key,
-                            &Arc::new(stats),
-                            Source::Fresh,
-                            run.admitted,
-                            Some(started),
-                        );
-                    }
-                    Err(_) => shared.fail(&run.key, "simulation worker panicked"),
-                }
+                counters.solo_runs.fetch_add(1, Ordering::Relaxed);
+                let cfg = runs[0].cfg.clone();
+                std::panic::catch_unwind(AssertUnwindSafe(|| vec![Runner::new(cfg).run()]))
             }
-            WorkItem::Batch { cfg, specs, runs } => {
+            Some((cfg, specs)) => {
                 if shared.verbose {
                     eprintln!(
                         "[serve] lane batch: {} lanes / {}",
@@ -712,38 +683,38 @@ fn worker_loop(shared: &Shared, rx: &Arc<Mutex<mpsc::Receiver<WorkItem>>>) {
                         cfg.benchmark.name()
                     );
                 }
-                shared.counters.lane_batches.fetch_add(1, Ordering::Relaxed);
-                shared
-                    .counters
+                counters.lane_batches.fetch_add(1, Ordering::Relaxed);
+                counters
                     .lane_batched_runs
                     .fetch_add(runs.len() as u64, Ordering::Relaxed);
-                let started = Instant::now();
-                let lanes = specs.clone();
-                let result =
-                    std::panic::catch_unwind(AssertUnwindSafe(|| aep_sim::run_lanes(&cfg, &lanes)));
-                match result {
-                    Ok(lane_results) => {
-                        shared
-                            .counters
-                            .evaluated
-                            .fetch_add(runs.len() as u64, Ordering::Relaxed);
-                        for (run, lane) in runs.iter().zip(lane_results) {
-                            shared.complete(
-                                &run.key,
-                                &Arc::new(lane.stats),
-                                Source::Fresh,
-                                run.admitted,
-                                Some(started),
-                            );
-                        }
-                    }
-                    Err(_) => {
-                        for run in &runs {
-                            shared.fail(&run.key, "lane batch worker panicked");
-                        }
-                    }
-                }
+                std::panic::catch_unwind(AssertUnwindSafe(|| {
+                    aep_sim::run_lanes(cfg, specs)
+                        .into_iter()
+                        .map(|lane| lane.stats)
+                        .collect()
+                }))
             }
+        };
+        let Ok(stats) = outcome else {
+            let message = match lanes {
+                None => "simulation worker panicked",
+                Some(_) => "lane batch worker panicked",
+            };
+            for run in &runs {
+                shared.fail(&run.key, message);
+            }
+            continue;
+        };
+        let done = Instant::now();
+        counters
+            .evaluated
+            .fetch_add(runs.len() as u64, Ordering::Relaxed);
+        let stats: Vec<Arc<RunStats>> = stats.into_iter().map(Arc::new).collect();
+        for (run, stats) in runs.iter().zip(&stats) {
+            shared.publish(run, stats, started, done);
+        }
+        for (run, stats) in runs.iter().zip(&stats) {
+            shared.persist(&run.key, stats);
         }
     }
 }
@@ -752,6 +723,7 @@ fn worker_loop(shared: &Shared, rx: &Arc<Mutex<mpsc::Receiver<WorkItem>>>) {
 mod tests {
     use super::*;
     use aep_core::SchemeKind;
+    use aep_sim::runcache::render_stats;
     use aep_workloads::Benchmark;
 
     fn tiny(bench: Benchmark, scheme: SchemeKind) -> ExperimentConfig {
@@ -759,6 +731,137 @@ mod tests {
         cfg.warmup_cycles = 4_000;
         cfg.measure_cycles = 6_000;
         cfg
+    }
+
+    /// A run long enough to keep a worker busy while a test submits
+    /// more work behind it.
+    fn blocker() -> ExperimentConfig {
+        let mut cfg = tiny(Benchmark::Mcf, SchemeKind::Uniform);
+        cfg.measure_cycles = 300_000;
+        cfg
+    }
+
+    /// An empty per-test disk cache directory.
+    fn disk_dir(name: &str) -> std::path::PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("aep-serve-engine-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("create cache dir");
+        dir
+    }
+
+    fn with_disk(jobs: usize, dir: &std::path::Path) -> Engine {
+        Engine::new(EngineConfig {
+            jobs,
+            disk: Some(RunCache::new(dir)),
+            ..EngineConfig::new(Scale::Smoke)
+        })
+    }
+
+    fn counter(engine: &Engine, name: &str) -> u64 {
+        StatsSnapshot::from_json(&engine.snapshot_json())
+            .expect("snapshot parses")
+            .counter_value(name)
+            .unwrap_or_else(|| panic!("{name} missing"))
+    }
+
+    fn serial(cfg: &ExperimentConfig) -> String {
+        render_stats(&Runner::new(cfg.clone()).run())
+    }
+
+    #[test]
+    fn disk_tier_answers_at_submit_without_admission() {
+        let dir = disk_dir("roundtrip");
+        let cfg = tiny(Benchmark::Gzip, SchemeKind::ParityOnly);
+        let first = with_disk(1, &dir);
+        let (_, _, source) = first
+            .submit_and_wait(Scale::Smoke, cfg.clone())
+            .expect("fresh run");
+        assert_eq!(source, Source::Fresh);
+        first.join();
+
+        let second = with_disk(1, &dir);
+        match second.submit(Scale::Smoke, cfg.clone()) {
+            Submission::Ready {
+                stats,
+                source: Source::Disk,
+                ..
+            } => assert_eq!(render_stats(&stats), serial(&cfg)),
+            _ => panic!("a stored run must be answered from disk at submit"),
+        }
+        assert_eq!(counter(&second, "serve.disk_hits"), 1);
+        assert_eq!(counter(&second, "serve.admitted"), 0);
+        // The recalled entry was promoted into the memo.
+        let (_, _, source) = second.submit_and_wait(Scale::Smoke, cfg).expect("memo");
+        assert_eq!(source, Source::Memo);
+        second.join();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn join_returns_after_every_write_back() {
+        let dir = disk_dir("persist");
+        let engine = with_disk(2, &dir);
+        let cfgs = [
+            tiny(Benchmark::Gzip, SchemeKind::Uniform),
+            tiny(Benchmark::Mcf, SchemeKind::Uniform),
+            tiny(Benchmark::Gap, SchemeKind::ParityOnly),
+        ];
+        let tickets: Vec<(String, Ticket)> = cfgs
+            .iter()
+            .map(|cfg| match engine.submit(Scale::Smoke, cfg.clone()) {
+                Submission::Pending { key, ticket } => (key, ticket),
+                _ => panic!("a fresh config must be admitted"),
+            })
+            .collect();
+        engine.join();
+        let cache = RunCache::new(&dir);
+        for (key, ticket) in &tickets {
+            let (stats, source, _) = ticket.wait().expect("run completes");
+            assert_eq!(source, Source::Fresh);
+            assert!(cache.root().join(format!("{key}.run")).is_file());
+            let stored = cache.load(key).expect("entry parses");
+            assert_eq!(render_stats(&stored), render_stats(&stats));
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn submissions_made_while_every_worker_is_busy_share_a_lane_batch() {
+        let engine = Engine::new(EngineConfig {
+            jobs: 1,
+            ..EngineConfig::new(Scale::Smoke)
+        });
+        let blocker = engine.submit(Scale::Smoke, blocker());
+        // Wait until the only worker is running the blocker.
+        while counter(&engine, "serve.solo_runs") == 0 {
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        let mut scrubbed = tiny(Benchmark::Gzip, SchemeKind::Uniform);
+        scrubbed.scrub_period = Some(2_048);
+        let cfgs = [
+            tiny(Benchmark::Gzip, SchemeKind::Uniform),
+            tiny(Benchmark::Gzip, SchemeKind::ParityOnly),
+            scrubbed,
+        ];
+        let tickets: Vec<Ticket> = cfgs
+            .iter()
+            .map(|cfg| match engine.submit(Scale::Smoke, cfg.clone()) {
+                Submission::Pending { ticket, .. } => ticket,
+                _ => panic!("a fresh config must be admitted"),
+            })
+            .collect();
+        for (cfg, ticket) in cfgs.iter().zip(&tickets) {
+            let (stats, _, _) = ticket.wait().expect("run completes");
+            assert_eq!(render_stats(&stats), serial(cfg));
+        }
+        let Submission::Pending { ticket, .. } = blocker else {
+            panic!("the blocker must be admitted");
+        };
+        ticket.wait().expect("blocker completes");
+        assert!(counter(&engine, "serve.lane_batches") >= 1);
+        assert_eq!(counter(&engine, "serve.lane_batched_runs"), 3);
+        engine.join();
     }
 
     #[test]
@@ -800,15 +903,15 @@ mod tests {
             queue_depth: 1,
             ..EngineConfig::new(Scale::Smoke)
         });
-        let first = engine.submit(Scale::Smoke, tiny(Benchmark::Gzip, SchemeKind::Uniform));
+        let first = engine.submit(Scale::Smoke, blocker());
         assert!(matches!(first, Submission::Pending { .. }));
         // Distinct config while depth is saturated: shed, not queued.
-        match engine.submit(Scale::Smoke, tiny(Benchmark::Mcf, SchemeKind::Uniform)) {
+        match engine.submit(Scale::Smoke, tiny(Benchmark::Gzip, SchemeKind::Uniform)) {
             Submission::Busy => {}
             _ => panic!("saturated queue must shed distinct configs"),
         }
         // The same config still dedups onto the in-flight run.
-        match engine.submit(Scale::Smoke, tiny(Benchmark::Gzip, SchemeKind::Uniform)) {
+        match engine.submit(Scale::Smoke, blocker()) {
             Submission::Pending { .. } => {}
             _ => panic!("dedup join must not be shed"),
         }

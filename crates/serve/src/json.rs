@@ -2,11 +2,11 @@
 //!
 //! The workspace builds with no crates.io access, so the wire format is
 //! hand-rolled the same way `aep-rng` replaced `rand`: a small
-//! recursive-descent parser covering exactly the JSON the protocol
-//! uses (objects, arrays, strings, numbers, booleans, null), plus the
-//! escaping helpers the response writers need. Numbers keep their raw
-//! text so callers can demand an exact `u64` (seeds, cycle counts)
-//! instead of round-tripping through `f64`.
+//! depth-limited recursive-descent parser covering exactly the JSON the
+//! protocol uses (objects, arrays, strings, numbers, booleans, null),
+//! plus the escaping helpers the response writers need. Numbers keep
+//! their raw text so callers can demand an exact `u64` (seeds, cycle
+//! counts) instead of round-tripping through `f64`.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -59,8 +59,14 @@ impl Value {
     }
 }
 
+/// Deepest nesting of arrays and objects [`parse`] accepts. The parser
+/// recurses once per level, so without a limit a short line of `[`s
+/// would overflow the parsing thread's stack; protocol lines are flat
+/// objects.
+pub const MAX_DEPTH: usize = 64;
+
 /// Parses one complete JSON document (trailing whitespace allowed,
-/// trailing garbage rejected).
+/// trailing garbage rejected, nesting limited to [`MAX_DEPTH`]).
 ///
 /// # Errors
 ///
@@ -69,6 +75,7 @@ pub fn parse(text: &str) -> Result<Value, String> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     let value = p.parse_value()?;
     p.skip_ws();
@@ -103,14 +110,20 @@ pub fn escape(s: &str) -> String {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the current position.
+    depth: usize,
 }
 
 impl Parser<'_> {
     fn parse_value(&mut self) -> Result<Value, String> {
         self.skip_ws();
         match self.peek()? {
-            b'{' => self.parse_object(),
-            b'[' => self.parse_array(),
+            b'{' | b'[' if self.depth == MAX_DEPTH => Err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            )),
+            b'{' => self.nested(Self::parse_object),
+            b'[' => self.nested(Self::parse_array),
             b'"' => Ok(Value::String(self.parse_string()?)),
             b'-' | b'0'..=b'9' => self.parse_number(),
             b't' => self.parse_keyword("true", Value::Bool(true)),
@@ -121,6 +134,13 @@ impl Parser<'_> {
                 other as char, self.pos
             )),
         }
+    }
+
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, String>) -> Result<Value, String> {
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn parse_keyword(&mut self, word: &str, value: Value) -> Result<Value, String> {
@@ -326,6 +346,17 @@ mod tests {
         assert!(parse("{\"a\":}").is_err());
         assert!(parse("{} trailing").is_err());
         assert!(parse("nope").is_err());
+    }
+
+    #[test]
+    fn nesting_is_limited() {
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        assert!(parse(&nested(MAX_DEPTH + 1)).is_err());
+        assert!(parse(&"{\"a\":".repeat(MAX_DEPTH + 1)).is_err());
+        // Far past the limit the parser stops at the limit, so it never
+        // recurses deep enough to exhaust a thread's stack.
+        assert!(parse(&"[".repeat(1_000_000)).is_err());
     }
 
     #[test]

@@ -573,6 +573,45 @@ mod tests {
         }
     }
 
+    /// Every single-byte flip (xor 0x55) and every truncation of `text`.
+    fn corruptions(text: &str) -> impl Iterator<Item = String> + '_ {
+        let flips = (0..text.len()).map(move |i| {
+            let mut bytes = text.as_bytes().to_vec();
+            bytes[i] ^= 0x55;
+            String::from_utf8(bytes).expect("ASCII input stays UTF-8")
+        });
+        flips.chain((0..text.len()).map(move |n| text[..n].to_string()))
+    }
+
+    #[test]
+    fn every_byte_corruption_is_total() {
+        // Request lines, result lines and cache entries all come from
+        // outside the process; each parser must return a value or a
+        // typed error for any corruption of them, never panic.
+        let mut cfg = ExperimentConfig::fast_test(Benchmark::Gzip, SchemeKind::ParityOnly);
+        cfg.warmup_cycles = 1_000;
+        cfg.measure_cycles = 2_000;
+        let stats = aep_sim::Runner::new(cfg).run();
+        let mut req = SubmitRequest::new(Benchmark::Mcf, SchemeKind::Uniform);
+        req.id = Some("r-7".into());
+        req.seed = Some(2006);
+        req.scrub = Some(4096);
+        req.scale = Some(Scale::Smoke);
+        let inputs = [
+            render_result(Some("r-7"), "key-1", Source::Disk, 42, &stats),
+            req.render(),
+            render_stats(&stats),
+        ];
+        for input in &inputs {
+            assert!(input.is_ascii());
+            for text in corruptions(input) {
+                let _ = parse_request(&text);
+                let _ = parse_response(&text);
+                let _ = parse_stats(&text);
+            }
+        }
+    }
+
     #[test]
     fn error_and_control_lines_roundtrip() {
         assert_eq!(parse_response(&render_pong()), Ok(Response::Pong));

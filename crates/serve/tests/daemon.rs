@@ -4,8 +4,8 @@
 //! loopback port (`127.0.0.1:0`) and talks to it exactly the way an
 //! external client would — bytes on a socket, nothing shared but the
 //! protocol. The adversarial cases (malformed JSON, unknown types,
-//! oversized lines, mid-request disconnects, double shutdown) must all
-//! yield *typed* errors and leave the daemon serving.
+//! oversized or deeply nested lines, mid-request disconnects, double
+//! shutdown) must all yield *typed* errors and leave the daemon serving.
 
 use std::io::Write as _;
 use std::net::TcpStream;
@@ -94,6 +94,12 @@ fn hostile_lines_get_typed_errors_and_the_daemon_keeps_serving() {
     );
     let reply = client.roundtrip_line(&huge).expect("reply");
     assert_eq!(error_code(&reply), ErrorCode::Oversized);
+
+    // A deeply nested line, far below the byte cap, is a typed error
+    // rather than a stack overflow that aborts the daemon.
+    let reply = client.roundtrip_line(&"[".repeat(10_000)).expect("reply");
+    assert_eq!(error_code(&reply), ErrorCode::Malformed);
+    client.ping().expect("ping after the nested line");
 
     // After all of that, the same connection still serves real work.
     client.ping().expect("ping still works");

@@ -368,7 +368,7 @@ pub fn same_machine(a: &ExperimentConfig, b: &ExperimentConfig) -> bool {
 /// [`LaneJob::Batch`]; everything else becomes a [`LaneJob::Solo`].
 /// Grouping is first-occurrence-ordered, so the job list (and therefore
 /// the result) is deterministic in the plan alone. Both the `Lab`'s
-/// execute tier and the `exp serve` daemon's scheduler feed their cache
+/// execute tier and the `exp serve` daemon's workers feed their cache
 /// misses through this planner, so concurrent clients' compatible
 /// submissions share trajectories exactly like one process's figure plan.
 #[must_use]

@@ -17,8 +17,8 @@ timings=()
 
 # The benchmark package (perfbench/) builds against the workspace crates
 # by path but sits outside the workspace: build it, run its corruption
-# self-tests, and require short `figures` and `campaign` runs to check
-# out correct.
+# self-tests, and require short runs of every workload to check out
+# correct.
 perfbench_workload() {
   local out
   out="$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
@@ -54,6 +54,8 @@ step "perfbench self-tests" \
   cargo test --release --offline --manifest-path perfbench/Cargo.toml
 step "perfbench figures (1 s)" perfbench_workload figures
 step "perfbench campaign (1 s)" perfbench_workload campaign
+step "perfbench serve (1 s)" perfbench_workload serve
+step "perfbench conflict (1 s)" perfbench_workload conflict
 
 echo "==> ci: all green; per-step timing:"
 for t in "${timings[@]}"; do

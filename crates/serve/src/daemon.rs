@@ -1,36 +1,50 @@
-//! The socket front-end: listeners, connections, and the drain dance.
+//! The socket front-end: listeners, connections, and the drain.
 //!
 //! [`spawn`] binds the configured TCP and/or Unix listeners, starts one
 //! shared [`Engine`], and returns a [`ServeHandle`] the caller can
-//! block on. Each accepted connection gets two threads:
+//! block on. Nothing polls: every thread blocks on the event it serves.
 //!
-//! * a **reader** that pulls newline-delimited requests off the socket
-//!   (with a hard per-line byte cap — an oversized line is discarded to
-//!   its newline and answered with a typed error, never buffered), and
-//! * a **responder** that waits on admitted submissions' tickets and
-//!   writes results back *in submission order*, so clients may pipeline
-//!   requests and match responses positionally or by `id`.
+//! * Each listener has its own **acceptor** thread in a blocking
+//!   `accept` loop. A failed accept (say `EMFILE`) is logged and backs
+//!   off, doubling from 5 ms to 1 s, so a persistent error cannot spin.
+//! * Each accepted connection gets two threads: a **reader** that pulls
+//!   newline-delimited requests off the socket (with a hard per-line
+//!   byte cap — an oversized line is discarded to its newline and
+//!   answered with a typed error, never buffered), and a **responder**
+//!   that waits on admitted submissions' tickets and writes results back
+//!   *in submission order*, so clients may pipeline requests and match
+//!   responses positionally or by `id`.
 //!
 //! Fast outcomes (memo and disk hits, sheds, protocol errors, `ping`,
 //! `stats`) are answered inline by the reader; only admitted runs travel
 //! through the responder. A per-connection in-flight cap bounds how much
 //! of the engine's queue any one client can own.
 //!
-//! Shutdown is protocol-driven: a `shutdown` request flips the drain
-//! flag, the acceptor stops accepting, every admitted run completes and
-//! is delivered, and the listeners close. (With no signal-handling in
-//! `std`, SIGTERM is an abrupt kill — safe because the run cache's
-//! writes are atomic — and `{"type":"shutdown"}` is the graceful path.)
+//! Shutdown is protocol-driven. A `shutdown` request (or
+//! [`ServeHandle::request_shutdown`]) sets the stop flag and wakes each
+//! acceptor with a connection to its own listener (to loopback on the
+//! bound port when TCP is bound to an unspecified address). The last
+//! acceptor to exit **drains**: it joins the engine, so every admitted
+//! run completes and is written back, then shuts down the read side of
+//! every live connection. Blocked readers see EOF, and responders write
+//! out every queued reply in order. A responder whose peer does not take
+//! a reply within two seconds (`WRITE_TIMEOUT`) gives the connection up,
+//! so a client that stops reading cannot hold the drain. The drain joins
+//! every connection thread and [`ServeHandle::join`] joins the
+//! acceptors, so `join` returns with the engine and its memo freed.
+//! (With no signal-handling in `std`, SIGTERM is an abrupt kill — safe
+//! because the run cache's writes are atomic — and `{"type":"shutdown"}`
+//! is the graceful path.)
 
-use std::io::{self, BufReader, BufWriter, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{self, BufReader, Read, Write};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crate::engine::{Engine, EngineConfig, Submission, Ticket};
 use crate::protocol::{
@@ -38,9 +52,14 @@ use crate::protocol::{
     MAX_LINE_BYTES,
 };
 
-/// How often blocked readers and the acceptor wake to check the stop
-/// flag (std has no poll/select, so liveness comes from timeouts).
-const POLL_INTERVAL: Duration = Duration::from_millis(50);
+/// How long a responder waits for its peer to take a reply before it
+/// gives the connection up.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(2);
+
+/// Back-off after the first of a run of failed accepts; it doubles with
+/// each further failure up to [`ACCEPT_BACKOFF_MAX`].
+const ACCEPT_BACKOFF_MIN: Duration = Duration::from_millis(5);
+const ACCEPT_BACKOFF_MAX: Duration = Duration::from_secs(1);
 
 /// Daemon endpoints and policy.
 #[derive(Debug)]
@@ -79,28 +98,31 @@ pub struct ServeHandle {
     pub tcp_addr: Option<SocketAddr>,
     /// The bound Unix socket path, when enabled.
     pub unix_path: Option<PathBuf>,
-    shutdown: Arc<AtomicBool>,
-    stopped: Arc<AtomicBool>,
-    acceptor: Option<JoinHandle<()>>,
+    control: Arc<Control>,
+    acceptors: Mutex<Vec<JoinHandle<()>>>,
 }
 
 impl ServeHandle {
     /// Requests the same graceful drain a `shutdown` request triggers.
     pub fn request_shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
+        self.control.request_stop();
     }
 
     /// Whether the daemon has fully drained and stopped serving.
     #[must_use]
     pub fn is_stopped(&self) -> bool {
-        self.stopped.load(Ordering::SeqCst)
+        self.control.stopped.load(Ordering::SeqCst)
     }
 
-    /// Blocks until the daemon has drained and every service thread has
-    /// exited.
-    pub fn join(mut self) {
-        if let Some(handle) = self.acceptor.take() {
-            let _ = handle.join();
+    /// Blocks until the daemon has drained and every service thread —
+    /// acceptors, connections, engine workers — has been joined. The
+    /// engine and its memo are freed by then.
+    pub fn join(&self) {
+        let mut acceptors = self.acceptors.lock().expect("acceptor list poisoned");
+        for acceptor in acceptors.drain(..) {
+            if acceptor.join().is_err() {
+                eprintln!("[serve] acceptor thread panicked");
+            }
         }
     }
 }
@@ -112,23 +134,14 @@ impl ServeHandle {
 /// Fails when a listener cannot bind (address in use, bad path, or a
 /// config with no endpoint at all).
 pub fn spawn(cfg: DaemonConfig) -> io::Result<ServeHandle> {
-    let tcp = match &cfg.tcp {
-        Some(addr) => {
-            let listener = TcpListener::bind(addr)?;
-            listener.set_nonblocking(true)?;
-            Some(listener)
-        }
-        None => None,
-    };
+    let tcp = cfg.tcp.as_deref().map(TcpListener::bind).transpose()?;
     #[cfg(unix)]
     let unix = match &cfg.unix {
         Some(path) => {
             // A stale socket file from a killed daemon would fail the
             // bind; remove it (connect errors distinguish live ones).
             let _ = std::fs::remove_file(path);
-            let listener = UnixListener::bind(path)?;
-            listener.set_nonblocking(true)?;
-            Some(listener)
+            Some(UnixListener::bind(path)?)
         }
         None => None,
     };
@@ -141,44 +154,216 @@ pub fn spawn(cfg: DaemonConfig) -> io::Result<ServeHandle> {
         ));
     }
     let tcp_addr = tcp.as_ref().map(TcpListener::local_addr).transpose()?;
-    let unix_path = cfg.unix.clone();
-    let engine = Arc::new(Engine::new(cfg.engine));
-    let shutdown = Arc::new(AtomicBool::new(false));
-    let stopped = Arc::new(AtomicBool::new(false));
-    let acceptor = {
-        let engine = Arc::clone(&engine);
-        let shutdown = Arc::clone(&shutdown);
-        let stopped = Arc::clone(&stopped);
-        let client_cap = cfg.client_cap.max(1);
-        let unix_path = cfg.unix.clone();
-        std::thread::Builder::new()
-            .name("serve-acceptor".into())
-            .spawn(move || {
-                accept_loop(&tcp, &unix, &engine, &shutdown, &stopped, client_cap);
-                // All listeners are closed; drain the engine so every
-                // admitted run is delivered and written back before we
-                // report stopped.
-                engine.join();
-                stopped.store(true, Ordering::SeqCst);
-                #[cfg(unix)]
-                if let Some(path) = &unix_path {
-                    let _ = std::fs::remove_file(path);
-                }
-                #[cfg(not(unix))]
-                let _ = unix_path;
-            })
-            .expect("spawn acceptor")
-    };
+    let control = Arc::new(Control {
+        stop: Mutex::new(false),
+        stop_set: Condvar::new(),
+        stopped: AtomicBool::new(false),
+        wake_tcp: tcp_addr.map(wake_addr),
+        unix_path: cfg.unix.clone(),
+    });
+    let daemon = Arc::new(Daemon {
+        engine: Engine::new(cfg.engine),
+        client_cap: cfg.client_cap.max(1),
+        control: Arc::clone(&control),
+        conns: Mutex::new(Vec::new()),
+        listening: AtomicUsize::new(usize::from(tcp.is_some()) + usize::from(unix.is_some())),
+    });
+    let mut acceptors = Vec::new();
+    if let Some(listener) = tcp {
+        let daemon = Arc::clone(&daemon);
+        acceptors.push(spawn_named("serve-accept-tcp", move || {
+            accept_loop(
+                &daemon.control,
+                "tcp",
+                || listener.accept(),
+                |(stream, _peer)| {
+                    let _ = stream.set_nodelay(true);
+                    serve_connection(&daemon, Conn::Tcp(stream));
+                },
+            );
+            drop(listener); // refuse new connections while draining
+            daemon.drain_if_last();
+        }));
+    }
+    #[cfg(unix)]
+    if let Some(listener) = unix {
+        let daemon = Arc::clone(&daemon);
+        acceptors.push(spawn_named("serve-accept-unix", move || {
+            accept_loop(
+                &daemon.control,
+                "unix",
+                || listener.accept(),
+                |(stream, _peer)| serve_connection(&daemon, Conn::Unix(stream)),
+            );
+            drop(listener); // refuse new connections while draining
+            daemon.drain_if_last();
+        }));
+    }
     Ok(ServeHandle {
         tcp_addr,
-        unix_path,
-        shutdown,
-        stopped,
-        acceptor: Some(acceptor),
+        unix_path: cfg.unix,
+        control,
+        acceptors: Mutex::new(acceptors),
     })
 }
 
+fn spawn_named(name: &str, f: impl FnOnce() + Send + 'static) -> JoinHandle<()> {
+    std::thread::Builder::new()
+        .name(name.into())
+        .spawn(f)
+        .unwrap_or_else(|e| panic!("spawn {name}: {e}"))
+}
+
+/// The address a stop request connects to so a TCP acceptor blocked in
+/// `accept` wakes: the bound one, or loopback on the bound port when the
+/// listener is bound to an unspecified address.
+fn wake_addr(bound: SocketAddr) -> SocketAddr {
+    let ip = match bound.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    SocketAddr::new(ip, bound.port())
+}
+
+/// The stop state the handle shares with the service threads.
+#[derive(Debug)]
+struct Control {
+    stop: Mutex<bool>,
+    /// Signalled when `stop` is set, so an acceptor backing off after an
+    /// error wakes at once.
+    stop_set: Condvar,
+    stopped: AtomicBool,
+    wake_tcp: Option<SocketAddr>,
+    unix_path: Option<PathBuf>,
+}
+
+impl Control {
+    fn stop_requested(&self) -> bool {
+        *self.stop.lock().expect("stop flag poisoned")
+    }
+
+    /// Waits up to `timeout` for the stop flag; returns whether it is set.
+    fn wait_for_stop(&self, timeout: Duration) -> bool {
+        let stop = self.stop.lock().expect("stop flag poisoned");
+        let (stop, _) = self
+            .stop_set
+            .wait_timeout_while(stop, timeout, |stop| !*stop)
+            .expect("stop flag poisoned");
+        *stop
+    }
+
+    /// Sets the stop flag and, the first time, wakes each acceptor with a
+    /// connection to its own listener; the acceptor sees the flag and
+    /// drops the connection.
+    fn request_stop(&self) {
+        {
+            let mut stop = self.stop.lock().expect("stop flag poisoned");
+            if *stop {
+                return;
+            }
+            *stop = true;
+            self.stop_set.notify_all();
+        }
+        if let Some(addr) = self.wake_tcp {
+            if let Err(e) = TcpStream::connect(addr) {
+                eprintln!("[serve] cannot wake the tcp acceptor at {addr}: {e}");
+            }
+        }
+        #[cfg(unix)]
+        if let Some(path) = &self.unix_path {
+            if let Err(e) = UnixStream::connect(path) {
+                eprintln!(
+                    "[serve] cannot wake the unix acceptor at {}: {e}",
+                    path.display()
+                );
+            }
+        }
+    }
+}
+
+/// Accepts until the stop flag is set, handing each connection to
+/// `serve`. A failed accept is logged and backs off (doubling from
+/// [`ACCEPT_BACKOFF_MIN`] to [`ACCEPT_BACKOFF_MAX`], reset by the next
+/// success), so a persistent error such as `EMFILE` cannot spin; a stop
+/// request ends the back-off at once.
+fn accept_loop<C>(
+    control: &Control,
+    endpoint: &str,
+    mut accept: impl FnMut() -> io::Result<C>,
+    mut serve: impl FnMut(C),
+) {
+    let mut backoff = ACCEPT_BACKOFF_MIN;
+    loop {
+        match accept() {
+            Ok(conn) => {
+                if control.stop_requested() {
+                    return;
+                }
+                backoff = ACCEPT_BACKOFF_MIN;
+                serve(conn);
+            }
+            Err(e) => {
+                eprintln!("[serve] {endpoint} accept error: {e} (retrying in {backoff:?})");
+                if control.wait_for_stop(backoff) {
+                    return;
+                }
+                backoff = (backoff * 2).min(ACCEPT_BACKOFF_MAX);
+            }
+        }
+    }
+}
+
+/// What the acceptors and the connections share.
+struct Daemon {
+    engine: Engine,
+    client_cap: usize,
+    control: Arc<Control>,
+    /// Every connection not yet seen finished: a handle on its socket,
+    /// for the drain to shut, and its thread, to join. Finished entries
+    /// are pruned when a connection is accepted.
+    conns: Mutex<Vec<Live>>,
+    /// Acceptors still running; the last one to exit drains.
+    listening: AtomicUsize,
+}
+
+struct Live {
+    conn: Conn,
+    thread: JoinHandle<()>,
+}
+
+impl Daemon {
+    /// Called by each acceptor as it exits. The last one delivers and
+    /// writes back every admitted run, ends every connection, and removes
+    /// the socket file.
+    fn drain_if_last(&self) {
+        if self.listening.fetch_sub(1, Ordering::SeqCst) != 1 {
+            return;
+        }
+        self.engine.join();
+        let conns = std::mem::take(&mut *self.conns.lock().expect("connection list poisoned"));
+        for live in &conns {
+            let _ = live.conn.shutdown(Shutdown::Read);
+        }
+        for live in conns {
+            join_connection(live);
+        }
+        #[cfg(unix)]
+        if let Some(path) = &self.control.unix_path {
+            let _ = std::fs::remove_file(path);
+        }
+        self.control.stopped.store(true, Ordering::SeqCst);
+    }
+}
+
+fn join_connection(live: Live) {
+    if live.thread.join().is_err() {
+        eprintln!("[serve] connection thread panicked");
+    }
+}
+
 /// One client socket, over either transport.
+#[derive(Debug)]
 enum Conn {
     Tcp(TcpStream),
     #[cfg(unix)]
@@ -194,11 +379,27 @@ impl Conn {
         }
     }
 
-    fn set_read_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
+    fn set_write_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
         match self {
-            Conn::Tcp(s) => s.set_read_timeout(timeout),
+            Conn::Tcp(s) => s.set_write_timeout(timeout),
             #[cfg(unix)]
-            Conn::Unix(s) => s.set_read_timeout(timeout),
+            Conn::Unix(s) => s.set_write_timeout(timeout),
+        }
+    }
+
+    fn shutdown(&self, how: Shutdown) -> io::Result<()> {
+        match self {
+            Conn::Tcp(s) => s.shutdown(how),
+            #[cfg(unix)]
+            Conn::Unix(s) => s.shutdown(how),
+        }
+    }
+
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        match self {
+            Conn::Tcp(s) => s.write(buf),
+            #[cfg(unix)]
+            Conn::Unix(s) => s.write(buf),
         }
     }
 }
@@ -209,69 +410,6 @@ impl Read for Conn {
             Conn::Tcp(s) => s.read(buf),
             #[cfg(unix)]
             Conn::Unix(s) => s.read(buf),
-        }
-    }
-}
-
-impl Write for Conn {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        match self {
-            Conn::Tcp(s) => s.write(buf),
-            #[cfg(unix)]
-            Conn::Unix(s) => s.write(buf),
-        }
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        match self {
-            Conn::Tcp(s) => s.flush(),
-            #[cfg(unix)]
-            Conn::Unix(s) => s.flush(),
-        }
-    }
-}
-
-#[cfg(unix)]
-type UnixListenerSlot = Option<UnixListener>;
-#[cfg(not(unix))]
-type UnixListenerSlot = Option<()>;
-
-fn accept_loop(
-    tcp: &Option<TcpListener>,
-    unix: &UnixListenerSlot,
-    engine: &Arc<Engine>,
-    shutdown: &Arc<AtomicBool>,
-    stopped: &Arc<AtomicBool>,
-    client_cap: usize,
-) {
-    while !shutdown.load(Ordering::SeqCst) {
-        let mut accepted = false;
-        if let Some(listener) = tcp {
-            match listener.accept() {
-                Ok((stream, _peer)) => {
-                    let _ = stream.set_nodelay(true);
-                    serve_connection(Conn::Tcp(stream), engine, shutdown, stopped, client_cap);
-                    accepted = true;
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
-                Err(e) => eprintln!("[serve] tcp accept error: {e}"),
-            }
-        }
-        #[cfg(unix)]
-        if let Some(listener) = unix {
-            match listener.accept() {
-                Ok((stream, _peer)) => {
-                    serve_connection(Conn::Unix(stream), engine, shutdown, stopped, client_cap);
-                    accepted = true;
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
-                Err(e) => eprintln!("[serve] unix accept error: {e}"),
-            }
-        }
-        #[cfg(not(unix))]
-        let _ = unix;
-        if !accepted {
-            std::thread::sleep(POLL_INTERVAL);
         }
     }
 }
@@ -291,92 +429,102 @@ enum Reply {
     },
 }
 
-fn serve_connection(
-    conn: Conn,
-    engine: &Arc<Engine>,
-    shutdown: &Arc<AtomicBool>,
-    stopped: &Arc<AtomicBool>,
-    client_cap: usize,
-) {
-    engine.note_connection();
-    let Ok(read_half) = conn.try_clone() else {
+/// Starts the connection's thread and registers it for the drain.
+fn serve_connection(daemon: &Arc<Daemon>, conn: Conn) {
+    daemon.engine.note_connection();
+    let (Ok(read_half), Ok(shut_half)) = (conn.try_clone(), conn.try_clone()) else {
         return;
     };
-    if read_half.set_read_timeout(Some(POLL_INTERVAL)).is_err() {
+    if conn.set_write_timeout(Some(WRITE_TIMEOUT)).is_err() {
         return;
     }
-    let engine = Arc::clone(engine);
-    let shutdown = Arc::clone(shutdown);
-    let stopped = Arc::clone(stopped);
-    // Connection threads are detached: they exit on client disconnect
-    // or (post-drain) on the stopped flag, and hold nothing the daemon
-    // needs back.
-    let _ = std::thread::Builder::new()
-        .name("serve-conn".into())
-        .spawn(move || {
-            let (reply_tx, reply_rx) = mpsc::channel::<Reply>();
-            let inflight = Arc::new(AtomicUsize::new(0));
-            let responder = {
-                let inflight = Arc::clone(&inflight);
-                let engine = Arc::clone(&engine);
-                let mut writer = BufWriter::new(conn);
-                std::thread::Builder::new()
-                    .name("serve-respond".into())
-                    .spawn(move || {
-                        for reply in reply_rx {
-                            let line = match reply {
-                                Reply::Ready(line) => line,
-                                Reply::Pending { id, key, ticket } => {
-                                    let line = match ticket.wait() {
-                                        Ok((stats, source, wait_us)) => render_result(
-                                            id.as_deref(),
-                                            &key,
-                                            source,
-                                            wait_us,
-                                            &stats,
-                                        ),
-                                        Err(msg) => {
-                                            engine.note_error();
-                                            render_error(ErrorCode::Io, &msg, id.as_deref())
-                                        }
-                                    };
-                                    inflight.fetch_sub(1, Ordering::SeqCst);
-                                    line
-                                }
-                            };
-                            // The client may have hung up; keep draining
-                            // the channel regardless so ticket waits and
-                            // the in-flight cap stay accounted.
-                            let _ = write_line(&mut writer, &line);
-                        }
-                    })
-                    .expect("spawn responder")
-            };
-            reader_loop(
-                read_half, &engine, &shutdown, &stopped, client_cap, &reply_tx, &inflight,
-            );
-            drop(reply_tx);
-            let _ = responder.join();
-        });
+    let spawned = {
+        let daemon = Arc::clone(daemon);
+        std::thread::Builder::new()
+            .name("serve-conn".into())
+            .spawn(move || run_connection(&daemon, read_half, conn))
+    };
+    match spawned {
+        Ok(thread) => {
+            let mut conns = daemon.conns.lock().expect("connection list poisoned");
+            for live in conns.extract_if(.., |live| live.thread.is_finished()) {
+                join_connection(live);
+            }
+            conns.push(Live {
+                conn: shut_half,
+                thread,
+            });
+        }
+        Err(e) => eprintln!("[serve] cannot start a connection thread: {e}"),
+    }
+}
+
+fn run_connection(daemon: &Arc<Daemon>, read_half: Conn, write_half: Conn) {
+    let (reply_tx, reply_rx) = mpsc::channel::<Reply>();
+    let inflight = Arc::new(AtomicUsize::new(0));
+    let responder = {
+        let daemon = Arc::clone(daemon);
+        let inflight = Arc::clone(&inflight);
+        spawn_named("serve-respond", move || {
+            respond(&daemon.engine, write_half, reply_rx, &inflight);
+        })
+    };
+    reader_loop(read_half, daemon, &reply_tx, &inflight);
+    drop(reply_tx);
+    if responder.join().is_err() {
+        eprintln!("[serve] responder thread panicked");
+    }
+}
+
+/// Writes each reply in order until the reader hangs up, then shuts the
+/// socket so the peer sees EOF even while the drain still holds a handle
+/// on it.
+fn respond(
+    engine: &Engine,
+    mut conn: Conn,
+    replies: mpsc::Receiver<Reply>,
+    inflight: &AtomicUsize,
+) {
+    let mut open = true;
+    for reply in replies {
+        let line = match reply {
+            Reply::Ready(line) => line,
+            Reply::Pending { id, key, ticket } => {
+                let line = match ticket.wait() {
+                    Ok((stats, source, wait_us)) => {
+                        render_result(id.as_deref(), &key, source, wait_us, &stats)
+                    }
+                    Err(msg) => {
+                        engine.note_error();
+                        render_error(ErrorCode::Io, &msg, id.as_deref())
+                    }
+                };
+                inflight.fetch_sub(1, Ordering::SeqCst);
+                line
+            }
+        };
+        // A peer that hung up, or did not take a reply in time, gets no
+        // more writes; shutting the socket ends its reader too. The
+        // channel still drains so ticket waits and the in-flight cap stay
+        // accounted.
+        if open && write_line(&mut conn, line).is_err() {
+            open = false;
+            let _ = conn.shutdown(Shutdown::Both);
+        }
+    }
+    let _ = conn.shutdown(Shutdown::Both);
 }
 
 fn reader_loop(
     read_half: Conn,
-    engine: &Arc<Engine>,
-    shutdown: &Arc<AtomicBool>,
-    stopped: &Arc<AtomicBool>,
-    client_cap: usize,
+    daemon: &Daemon,
     reply_tx: &mpsc::Sender<Reply>,
     inflight: &Arc<AtomicUsize>,
 ) {
+    let engine = &daemon.engine;
     let mut reader = BufReader::new(read_half);
     loop {
-        match read_line_bounded(&mut reader, MAX_LINE_BYTES, stopped) {
-            LineRead::TimedOut => {
-                if stopped.load(Ordering::SeqCst) {
-                    return;
-                }
-            }
+        match read_line_bounded(&mut reader, MAX_LINE_BYTES) {
             LineRead::Eof => return,
             LineRead::Err(e) => {
                 // Transport-level failure (reset, non-UTF-8 bytes):
@@ -419,14 +567,14 @@ fn reader_loop(
                             ))
                         } else {
                             // Drain now (sheds race-free with this
-                            // response) and tell the acceptor to wind
+                            // response) and wake the acceptors to wind
                             // the listeners down.
                             engine.begin_drain();
-                            shutdown.store(true, Ordering::SeqCst);
+                            daemon.control.request_stop();
                             Reply::Ready(render_bye())
                         }
                     }
-                    Ok(Request::Submit(req)) => submit(engine, &req, client_cap, inflight),
+                    Ok(Request::Submit(req)) => submit(engine, &req, daemon.client_cap, inflight),
                 };
                 if reply_tx.send(reply).is_err() {
                     return;
@@ -485,48 +633,51 @@ fn submit(
     }
 }
 
-fn write_line(w: &mut BufWriter<Conn>, line: &str) -> io::Result<()> {
-    w.write_all(line.as_bytes())?;
-    w.write_all(b"\n")?;
-    w.flush()
+/// Writes `line` and its newline, failing once [`WRITE_TIMEOUT`] has
+/// passed without the whole line taken. The socket's write timeout bounds
+/// each `write`; the deadline bounds the run of partial writes a peer
+/// that reads only now and then lets through.
+fn write_line(conn: &mut Conn, mut line: String) -> io::Result<()> {
+    line.push('\n');
+    let deadline = Instant::now() + WRITE_TIMEOUT;
+    let mut rest = line.as_bytes();
+    while !rest.is_empty() {
+        if Instant::now() > deadline {
+            return Err(io::Error::new(
+                io::ErrorKind::TimedOut,
+                "the peer did not take a reply in time",
+            ));
+        }
+        match conn.write(rest) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => rest = &rest[n..],
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
 }
 
 enum LineRead {
     Line(String),
     Eof,
     Oversized,
-    TimedOut,
     Err(io::Error),
 }
 
 /// Reads one `\n`-terminated line with a hard byte cap. A line past the
 /// cap is consumed to its newline *without buffering* and reported as
 /// [`LineRead::Oversized`], so a hostile client cannot balloon memory.
-/// Read timeouts surface as [`LineRead::TimedOut`] only between lines;
-/// mid-line timeouts keep waiting (checking `stopped` for liveness).
-fn read_line_bounded(reader: &mut BufReader<Conn>, max: usize, stopped: &AtomicBool) -> LineRead {
+/// The read blocks; the drain ends it by shutting the socket's read side.
+fn read_line_bounded(reader: &mut BufReader<Conn>, max: usize) -> LineRead {
     use std::io::BufRead;
     let mut buf: Vec<u8> = Vec::new();
     let mut discarding = false;
     loop {
         let (consumed, done) = {
             let available = match reader.fill_buf() {
-                Ok([]) => {
-                    return LineRead::Eof;
-                }
+                Ok([]) => return LineRead::Eof,
                 Ok(bytes) => bytes,
-                Err(e)
-                    if e.kind() == io::ErrorKind::WouldBlock
-                        || e.kind() == io::ErrorKind::TimedOut =>
-                {
-                    if buf.is_empty() && !discarding {
-                        return LineRead::TimedOut;
-                    }
-                    if stopped.load(Ordering::SeqCst) {
-                        return LineRead::Eof;
-                    }
-                    continue;
-                }
                 Err(e) => return LineRead::Err(e),
             };
             match available.iter().position(|&b| b == b'\n') {
@@ -560,6 +711,98 @@ fn read_line_bounded(reader: &mut BufReader<Conn>, max: usize, stopped: &AtomicB
                     "request line is not UTF-8",
                 )),
             };
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn control() -> Control {
+        Control {
+            stop: Mutex::new(false),
+            stop_set: Condvar::new(),
+            stopped: AtomicBool::new(false),
+            wake_tcp: None,
+            unix_path: None,
+        }
+    }
+
+    #[test]
+    fn a_persistent_accept_error_backs_off_until_a_stop_wakes_it() {
+        let control = control();
+        let (failed_seven, seven) = mpsc::channel();
+        let start = Instant::now();
+        let mut calls = 0u32;
+        std::thread::scope(|s| {
+            let control = &control;
+            s.spawn(move || {
+                seven.recv().expect("the loop reaches a seventh accept");
+                control.request_stop();
+            });
+            accept_loop(
+                control,
+                "test",
+                || -> io::Result<()> {
+                    calls += 1;
+                    if calls == 7 {
+                        failed_seven.send(()).expect("the stopper waits");
+                    }
+                    Err(io::Error::other("too many open files"))
+                },
+                |()| panic!("no connection was accepted"),
+            );
+        });
+        let elapsed = start.elapsed();
+        assert_eq!(calls, 7);
+        // Six back-offs (5 + 10 + ... + 160 ms) separate the seven calls,
+        // where a hot loop would make millions.
+        assert!(elapsed >= Duration::from_millis(315), "{elapsed:?}");
+        // The stop cuts the seventh back-off (320 ms) short.
+        assert!(elapsed < Duration::from_millis(600), "{elapsed:?}");
+    }
+
+    #[test]
+    fn a_success_resets_the_back_off() {
+        let control = control();
+        let mut calls = 0u32;
+        let mut served = 0u32;
+        let start = Instant::now();
+        accept_loop(
+            &control,
+            "test",
+            || {
+                calls += 1;
+                match calls {
+                    5 => Ok(()),
+                    10 => {
+                        control.request_stop();
+                        Ok(())
+                    }
+                    _ => Err(io::Error::other("connection aborted")),
+                }
+            },
+            |()| served += 1,
+        );
+        assert_eq!((calls, served), (10, 1));
+        // Two runs of four failures wait 2 × (5 + 10 + 20 + 40) ms; one
+        // run of eight would wait 1275 ms.
+        let elapsed = start.elapsed();
+        assert!(elapsed >= Duration::from_millis(150), "{elapsed:?}");
+        assert!(elapsed < Duration::from_millis(1000), "{elapsed:?}");
+    }
+
+    #[test]
+    fn the_wake_connects_to_loopback_for_an_unspecified_bind() {
+        for (bound, wake) in [
+            ("0.0.0.0:7117", "127.0.0.1:7117"),
+            ("[::]:7117", "[::1]:7117"),
+            ("127.0.0.1:7117", "127.0.0.1:7117"),
+            ("10.1.2.3:80", "10.1.2.3:80"),
+        ] {
+            let bound: SocketAddr = bound.parse().expect("address");
+            assert_eq!(wake_addr(bound), wake.parse().expect("address"));
         }
     }
 }

@@ -6,9 +6,13 @@
 //! protocol. The adversarial cases (malformed JSON, unknown types,
 //! oversized or deeply nested lines, mid-request disconnects, double
 //! shutdown) must all yield *typed* errors and leave the daemon serving.
+//! Every test joins the daemon under a watchdog ([`join_within_limit`]),
+//! so a drain that hangs fails the test instead of stalling the suite.
 
-use std::io::Write as _;
+use std::io::{Read as _, Write as _};
 use std::net::TcpStream;
+use std::sync::{mpsc, Arc};
+use std::time::Duration;
 
 use aep_core::SchemeKind;
 use aep_obs::{StatValue, StatsSnapshot};
@@ -46,10 +50,43 @@ fn tiny_submit(bench: Benchmark, scheme: SchemeKind) -> SubmitRequest {
     req
 }
 
+/// How long a test lets `join` take before failing instead of hanging.
+const JOIN_LIMIT: Duration = Duration::from_secs(10);
+
+/// Joins the daemon on a watchdog thread, fails the test if that takes
+/// longer than [`JOIN_LIMIT`], and checks the daemon reports stopped.
+/// (A joiner stuck past the limit is left behind: the test has failed.)
+fn join_within_limit(handle: ServeHandle) {
+    let handle = Arc::new(handle);
+    let (joined, done) = mpsc::channel();
+    let joiner = Arc::clone(&handle);
+    std::thread::spawn(move || {
+        joiner.join();
+        let _ = joined.send(());
+    });
+    if done.recv_timeout(JOIN_LIMIT).is_err() {
+        panic!("join did not return within {JOIN_LIMIT:?}");
+    }
+    assert!(handle.is_stopped(), "join returns a stopped daemon");
+}
+
 fn shutdown_and_join(endpoint: &Endpoint, handle: ServeHandle) {
     let mut client = connect(endpoint);
     client.shutdown().expect("shutdown acknowledged");
-    handle.join();
+    join_within_limit(handle);
+}
+
+/// Reads until the daemon closes the connection; fails on a read that
+/// waits past [`JOIN_LIMIT`].
+fn read_to_eof(stream: &mut TcpStream) -> usize {
+    stream
+        .set_read_timeout(Some(JOIN_LIMIT))
+        .expect("read timeout");
+    let mut rest = Vec::new();
+    stream
+        .read_to_end(&mut rest)
+        .expect("the daemon closes the connection");
+    rest.len()
 }
 
 fn error_code(line: &str) -> ErrorCode {
@@ -163,7 +200,7 @@ fn double_shutdown_is_a_typed_draining_error_and_drain_completes() {
     let third = client.read_line().expect("third reply");
     assert_eq!(error_code(&third), ErrorCode::Draining);
 
-    handle.join();
+    join_within_limit(handle);
 }
 
 #[test]
@@ -186,43 +223,87 @@ fn drain_completes_inflight_work_before_stopping() {
         aep_serve::protocol::parse_response(&second).expect("protocol"),
         Response::Bye
     );
+    join_within_limit(handle);
+}
+
+/// Clients that leave a connection open in each way a blocking reader
+/// or writer could wait on forever. The drain must end every one of them:
+/// `join` returns and each client then reads EOF.
+#[test]
+fn idle_stalled_and_non_reading_clients_do_not_hold_the_drain() {
+    let (handle, endpoint) = daemon(|_| {});
+    let Endpoint::Tcp(addr) = &endpoint else {
+        unreachable!()
+    };
+    let raw = || TcpStream::connect(addr).expect("raw connect");
+
+    // Never sends a byte.
+    let mut idle = raw();
+    // Stops in the middle of a request line.
+    let mut stalled = raw();
+    stalled.write_all(b"{\"type\":\"pi").expect("partial write");
+    // Pipelines far more replies than the socket buffers hold (several
+    // MB of stats snapshots) and never reads them, so its responder
+    // blocks in `write`.
+    let mut deaf = raw();
+    let stats = "{\"type\":\"stats\"}\n".repeat(DEAF_REQUESTS);
+    deaf.write_all(stats.as_bytes()).expect("pipelined writes");
+    // Every connection is registered before the shutdown: the daemon has
+    // accepted them all once a later one is answered.
+    connect(&endpoint).ping().expect("ping");
+
+    handle.request_shutdown();
+    join_within_limit(handle);
+
+    assert_eq!(read_to_eof(&mut idle), 0);
+    assert_eq!(read_to_eof(&mut stalled), 0);
     assert!(
-        handle_stopped_eventually(&handle),
-        "drain must reach the stopped state"
+        read_to_eof(&mut deaf) > 0,
+        "the replies sent before the drain"
     );
-    handle.join();
 }
 
-fn handle_stopped_eventually(handle: &ServeHandle) -> bool {
-    for _ in 0..100 {
-        if handle.is_stopped() {
-            return true;
-        }
-        std::thread::sleep(std::time::Duration::from_millis(10));
+/// Stats requests the non-reading client pipelines.
+const DEAF_REQUESTS: usize = 3_000;
+
+#[test]
+fn request_shutdown_with_no_client_stops_the_daemon() {
+    // The wake connects to loopback when TCP is bound to every interface.
+    for tcp in ["127.0.0.1:0", "0.0.0.0:0"] {
+        let (handle, _) = daemon(|cfg| cfg.tcp = Some(tcp.to_string()));
+        handle.request_shutdown();
+        join_within_limit(handle);
     }
-    false
 }
 
+/// With both endpoints configured, a `shutdown` on either one also wakes
+/// the other endpoint's acceptor, and the socket file is removed.
 #[cfg(unix)]
 #[test]
 fn unix_socket_endpoint_serves_and_cleans_up() {
-    let path = std::env::temp_dir().join(format!("aep-serve-test-{}.sock", std::process::id()));
-    let (handle, _tcp) = daemon(|cfg| {
-        cfg.unix = Some(path.clone());
-    });
-    let endpoint = Endpoint::Unix(path.clone());
-    let mut client = connect(&endpoint);
-    client.ping().expect("unix ping");
-    let reply = client
-        .submit(&tiny_submit(Benchmark::Gzip, SchemeKind::Uniform))
-        .expect("unix submit");
-    assert_eq!(reply.source, Source::Fresh);
-    client.shutdown().expect("unix shutdown");
-    handle.join();
-    assert!(
-        !path.exists(),
-        "socket file must be removed on clean shutdown"
-    );
+    for shutdown_over_unix in [true, false] {
+        let path = std::env::temp_dir().join(format!(
+            "aep-serve-test-{}-{shutdown_over_unix}.sock",
+            std::process::id()
+        ));
+        let (handle, tcp) = daemon(|cfg| {
+            cfg.unix = Some(path.clone());
+        });
+        let unix = Endpoint::Unix(path.clone());
+        let mut client = connect(&unix);
+        client.ping().expect("unix ping");
+        let reply = client
+            .submit(&tiny_submit(Benchmark::Gzip, SchemeKind::Uniform))
+            .expect("unix submit");
+        assert_eq!(reply.source, Source::Fresh);
+        let via = if shutdown_over_unix { &unix } else { &tcp };
+        connect(via).shutdown().expect("shutdown acknowledged");
+        join_within_limit(handle);
+        assert!(
+            !path.exists(),
+            "socket file must be removed on clean shutdown"
+        );
+    }
 }
 
 /// The seeded concurrency property: N client threads × R rounds over M

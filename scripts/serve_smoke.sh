@@ -2,7 +2,8 @@
 # Serve-daemon smoke: start `exp serve` on an OS-assigned loopback port,
 # prove the cold -> warm submit round-trip is bit-identical, run a short
 # `exp hammer` ladder (every response validated bit-exactly against a
-# direct in-process run), and shut the daemon down gracefully.
+# direct in-process run), and shut the daemon down gracefully with an
+# idle connection still open.
 #
 # Usage: scripts/serve_smoke.sh [scale] [bench-out]
 #          scale      paper|quick|smoke   (default: smoke)
@@ -83,7 +84,20 @@ echo "==> exp hammer (short ladder)"
   --steps 2,4 --step-ms 500 --warmup 10000 --measure 20000 \
   --out "$out" --floor-hit 0.75
 
+# An idle connection held open across the graceful shutdown: the drain
+# must end it rather than wait for the client to hang up.
+exec 3<>"/dev/tcp/${addr%:*}/${addr##*:}"
 "$exp" submit --connect "$connect" --shutdown
+# Bounded wait: a hung drain fails the smoke instead of stalling CI.
+for _ in $(seq 1 100); do
+  kill -0 "$serve_pid" 2>/dev/null || break
+  sleep 0.1
+done
+if kill -0 "$serve_pid" 2>/dev/null; then
+  echo "==> serve smoke FAILED: daemon still running 10s after shutdown" >&2
+  exit 1
+fi
 wait "$serve_pid"
+exec 3<&-
 grep -q 'listening tcp' "$tmp/serve.out"
 echo "==> serve smoke: all green (report: $out)"
